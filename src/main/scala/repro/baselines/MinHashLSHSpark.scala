@@ -16,7 +16,7 @@ import scala.collection.mutable
   */
 final class MinHashLSHSpark(
     spark: SparkSession,
-    payload: Broadcast[Map[Long, EmbeddedRec]],
+    payload: Broadcast[IndexedSeq[EmbeddedRec]],
     lambda: Double,
     k: Int,
     p: CPSParams,
@@ -26,22 +26,22 @@ final class MinHashLSHSpark(
 
   /** Run the given repetitions; returns deduplicated verified pairs. */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
-    val ids = payload.value.keys.toSeq.sorted
     val bc = payload
+    val recs = payload.value
     val lam = lambda
     val params = p
     val kk = k
     val sink = stats
     val repSeq = reps.toIndexedSeq
-    val rows: Seq[(Long, Long)] = for {
+    val rows: Seq[(Long, Int)] = for {
       r <- repSeq
       coords = MinHashLSHLocal.repCoordinates(params.t, kk, params.seed, r)
-      id <- ids
-    } yield (repro.util.Hashing.combine(r.toLong + 1, MinHashLSHLocal.bucketKey(bc.value(id).mh, coords)), id)
+      i <- recs.indices
+    } yield (repro.util.Hashing.combine(r.toLong + 1, MinHashLSHLocal.bucketKey(recs(i).mh, coords)), i)
 
     val pairs = spark.createDataset(rows)
       .groupByKey(_._1)
-      .flatMapGroups { (_: Long, it: Iterator[(Long, Long)]) =>
+      .flatMapGroups { (_: Long, it: Iterator[(Long, Int)]) =>
         val bucket = it.map(t => bc.value(t._2)).toIndexedSeq
         if (bucket.length < 2) Iterator.empty
         else {
@@ -64,8 +64,7 @@ object MinHashLSHSpark {
                stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
-      val embedded = bc.value.values.toIndexedSeq
-      val k = MinHashLSHLocal.chooseK(embedded, lambda, phi, p.seed)
+      val k = MinHashLSHLocal.chooseK(bc.value, lambda, phi, p.seed)
       val reps = MinHashLSHLocal.repetitionsFor(phi, lambda, k)
       new MinHashLSHSpark(spark, bc, lambda, k, p, stats).run(0 until reps)
     } finally bc.destroy()

@@ -89,8 +89,7 @@ object Harness {
       val (cpPre, cpCand, _) = cpCounts()
       val cp = cp0.copy(pre = cpPre, cand = cpCand)
 
-      val embedded = bc.value.values.toIndexedSeq
-      val k = MinHashLSHLocal.chooseK(embedded, lambda, recallTarget, p.seed)
+      val k = MinHashLSHLocal.chooseK(bc.value, lambda, recallTarget, p.seed)
       val lWorst = MinHashLSHLocal.repetitionsFor(recallTarget, lambda, k)
       val mhJoin = new MinHashLSHSpark(spark, bc, lambda, k, p)
       val mhBatchSize = math.max(1, lWorst / 4)

@@ -20,15 +20,15 @@ import scala.collection.mutable
   *    threshold λ̂ (false-negative probability δ) before exact verification;
   *  - duplicates across buckets/repetitions are removed at the end.
   *
-  * The same bucket-local routines back the Spark implementation
-  * (`CPSJoinSpark`), which runs them inside `flatMapGroups` per tree node.
+  * `node` is the only implementation of a tree node. The Spark engine
+  * (`CPSJoinSpark`) runs each repetition's root `node` on the driver and
+  * finishes every first-level subtree with `subtree` inside one Spark job.
   */
 object CPSJoinLocal {
 
-  /** Node-level processing shared with the distributed implementation.
-    * Runs the BRUTEFORCE step on `bucket`; emits verified pairs through
-    * `emit` and returns the surviving records (empty if the bucket was fully
-    * brute-forced).
+  /** The BRUTEFORCE step of one node (Algorithm 2). Runs it on `bucket`;
+    * emits verified pairs through `emit` and returns the surviving records
+    * (empty if the bucket was fully brute-forced).
     *
     * @param useExactAvg use Algorithm 2's exact token-count average-similarity
     *                    rule over the embedded coordinates instead of the
@@ -124,50 +124,57 @@ object CPSJoinLocal {
   @inline def childSeed(nodeSeed: Long, coord: Int, mhValue: Int): Long =
     Hashing.combine(nodeSeed, (coord.toLong << 32) ^ (mhValue.toLong & 0xffffffffL))
 
+  /** Seed of the root node of repetition `rep`. */
+  def rootSeed(p: CPSParams, rep: Int): Long = Hashing.mix64(p.seed + 0x9e3779b9L * (rep + 1))
+
+  /** One Chosen Path tree node (the body of Algorithm 1): the BRUTEFORCE
+    * step, forced to finish the bucket at depth `p.maxDepth`, then a split of
+    * the survivors on the node's sampled coordinates. Returns the child
+    * buckets of ≥ 2 records with their seeds, members in bucket order.
+    */
+  def node(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
+           nodeSeed: Long, depth: Int, stats: StatsSink,
+           emit: (Long, Long, Double) => Unit): scala.collection.Seq[(scala.collection.IndexedSeq[EmbeddedRec], Long)] = {
+    if (bucket.length < 2) return Nil
+    val effective = if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) else p
+    val survivors = bruteForceStep(bucket, lambda, effective, nodeSeed, stats, emit)
+    if (survivors.length < 2) return Nil
+    val out = mutable.ArrayBuffer.empty[(scala.collection.IndexedSeq[EmbeddedRec], Long)]
+    for (c <- splitCoordinates(nodeSeed, p.t, lambda)) {
+      val children = mutable.HashMap.empty[Int, mutable.ArrayBuffer[EmbeddedRec]]
+      var xi = 0
+      while (xi < survivors.length) {
+        val x = survivors(xi)
+        children.getOrElseUpdate(x.mh(c), mutable.ArrayBuffer.empty) += x
+        xi += 1
+      }
+      for ((v, child) <- children if child.length >= 2)
+        out += ((child, childSeed(nodeSeed, c, v)))
+    }
+    out
+  }
+
+  /** The whole subtree below a node at `depth`, depth first. */
+  def subtree(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
+              nodeSeed: Long, depth: Int, stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit =
+    for ((child, seed) <- node(bucket, lambda, p, nodeSeed, depth, stats, emit))
+      subtree(child, lambda, p, seed, depth + 1, stats, emit)
+
   /** One repetition of CPSJoin (one Chosen Path tree). */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, rep: Int,
-             stats: StatsSink, emit: (Long, Long, Double) => Unit,
-             useExactAvg: Boolean = false): Unit = {
-    val rootSeed = Hashing.mix64(p.seed + 0x9e3779b9L * (rep + 1))
-
-    def recurse(bucket: scala.collection.IndexedSeq[EmbeddedRec], nodeSeed: Long, depth: Int): Unit = {
-      if (bucket.length < 2) return
-      val effective =
-        if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) // force exact finish at the cap
-        else p
-      val survivors = bruteForceStep(bucket, lambda, effective, nodeSeed, stats, emit, useExactAvg)
-      if (survivors.length < 2) return
-      val coords = splitCoordinates(nodeSeed, p.t, lambda)
-      var ci = 0
-      while (ci < coords.length) {
-        val c = coords(ci)
-        val children = mutable.HashMap.empty[Int, mutable.ArrayBuffer[EmbeddedRec]]
-        var xi = 0
-        while (xi < survivors.length) {
-          val x = survivors(xi)
-          children.getOrElseUpdate(x.mh(c), mutable.ArrayBuffer.empty) += x
-          xi += 1
-        }
-        for ((v, child) <- children if child.length >= 2)
-          recurse(child.toIndexedSeq, childSeed(nodeSeed, c, v), depth + 1)
-        ci += 1
-      }
-    }
-
-    recurse(recs, rootSeed, 0)
-  }
+             stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit =
+    subtree(recs, lambda, p, rootSeed(p, rep), 0, stats, emit)
 
   /** Full self-join: `p.reps` repetitions, output deduplicated.
     * Returns pairs (id1 < id2) with their exact Jaccard similarity.
     */
   def selfJoin(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,
-               p: CPSParams = CPSParams(), stats: StatsSink = NullStats,
-               useExactAvg: Boolean = false): Map[(Long, Long), Double] = {
+               p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
     val out = mutable.HashMap.empty[(Long, Long), Double]
     val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
     var r = 0
     while (r < p.reps) {
-      runRep(recs, lambda, p, r, stats, emit, useExactAvg)
+      runRep(recs, lambda, p, r, stats, emit)
       r += 1
     }
     out.toMap

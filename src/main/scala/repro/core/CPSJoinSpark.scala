@@ -1,128 +1,74 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
-/** One row of a Chosen Path level dataflow: either a live (bucket, record)
-  * pair for the next level (`kind = 0`, `a` = bucket path, `b` = record id)
-  * or a verified result pair (`kind = 1`, `a`/`b` = record ids, `sim` set).
-  */
-final case class LevelOut(kind: Int, a: Long, b: Long, sim: Double)
-
-/** Distributed CPSJoin as a level-synchronous Spark dataflow.
+/** Distributed CPSJoin: a distribution shell around `CPSJoinLocal.node`.
   *
-  * The Chosen Path recursion tree is evaluated breadth-first: level k is a
-  * `Dataset[(path, id)]` of live (tree-node, record) memberships. Each level
-  * shuffles rows by bucket (`groupByKey(path)`) and runs the node-local
-  * BRUTEFORCE step (`CPSJoinLocal.bruteForceStep` — sketch-based average
-  * similarity estimation, sketch-filtered verification) inside
-  * `flatMapGroups`, emitting verified result pairs and exploding survivors
-  * into child buckets on the sampled minhash coordinates. This matches the
-  * "hash into buckets via sketch → shuffle/group by bucket → verify
-  * candidates" dataflow shape while keeping the paper's adaptive stopping
-  * rule intact.
+  * Below the root, the subtrees of the Chosen Path tree are independent
+  * (paper §IV). For each repetition the driver runs the root `node` on the
+  * broadcast payload; one `mapPartitions` job then finishes every
+  * first-level subtree with `CPSJoinLocal.subtree`, and the driver
+  * deduplicates the collected pairs. A child bucket ships as the payload
+  * indices of its members, in the order the split produced them.
   *
-  * All node randomness is derived deterministically from the 64-bit node
-  * path (seed), so for equal parameters this implementation explores exactly
-  * the same tree — and reports exactly the same pairs — as `CPSJoinLocal`
-  * (a property the tests assert).
-  *
-  * Record payloads (tokens, minhash vector, sketch) are broadcast once; the
-  * shuffled rows are two longs each.
+  * The tree and its node seeds are those of `CPSJoinLocal`, so for equal
+  * parameters both engines report the same pairs and the same Table IV
+  * counters (a property the tests assert).
   */
 final class CPSJoinSpark(
     spark: SparkSession,
-    payload: Broadcast[Map[Long, EmbeddedRec]],
+    payload: Broadcast[IndexedSeq[EmbeddedRec]],
     lambda: Double,
     p: CPSParams,
     stats: StatsSink = NullStats,
-) extends Serializable {
-  import spark.implicits._
+) {
 
   /** Run repetitions `reps` (tree roots) and return deduplicated result
     * pairs (id1 < id2) with exact Jaccard similarity.
     */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
-    val ids = payload.value.keys.toSeq.sorted
-    val roots: Seq[(Long, Long)] = for {
-      r <- reps
-      rootSeed = repro.util.Hashing.mix64(p.seed + 0x9e3779b9L * (r + 1))
-      id <- ids
-    } yield (rootSeed, id)
-
     val results = mutable.HashMap.empty[(Long, Long), Double]
-    var level: Dataset[(Long, Long)] = spark.createDataset(roots)
-    var depth = 0
-    var live = roots.nonEmpty
+    val emit = (a: Long, b: Long, s: Double) => { results.update((math.min(a, b), math.max(a, b)), s); () }
+    val recs = payload.value
+    // Children map back to payload positions by identity: ids need not be unique.
+    val index = new java.util.IdentityHashMap[EmbeddedRec, Int]
+    for (i <- recs.indices) index.put(recs(i), i)
+    val children = for {
+      r <- reps
+      (child, seed) <- CPSJoinLocal.node(recs, lambda, p, CPSJoinLocal.rootSeed(p, r), 0, stats, emit)
+    } yield (child.map(index.get).toArray, seed)
+
     val bc = payload
     val lam = lambda
     val params = p
     val sink = stats
-    var prev: Dataset[LevelOut] = null
-    while (live) {
-      val atCap = depth >= params.maxDepth
-      val out = level
-        .groupByKey(_._1)
-        .flatMapGroups { (path: Long, it: Iterator[(Long, Long)]) =>
-          CPSJoinSpark.processNode(path, it.map(_._2), bc.value, lam, params, atCap, sink)
-        }
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      for (o <- out.filter(_.kind == 1).collect())
-        results.update((math.min(o.a, o.b), math.max(o.a, o.b)), o.sim)
-      val next = out.filter(_.kind == 0).map(o => (o.a, o.b))
-      val hasNext = !next.isEmpty // early-exit job, cheaper than count()
-      if (prev != null) prev.unpersist(blocking = false)
-      level.unpersist(blocking = false)
-      prev = out
-      level = next
-      live = hasNext
-      depth += 1
-    }
-    if (prev != null) prev.unpersist(blocking = false)
+    val sc = spark.sparkContext
+    val slices = math.max(1, math.min(children.length, sc.defaultParallelism))
+    val pairs = sc.parallelize(children, slices).mapPartitions { it =>
+      val all = bc.value
+      val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+      val emitTask = (a: Long, b: Long, s: Double) => { out += ((a, b, s)); () }
+      for ((members, seed) <- it)
+        CPSJoinLocal.subtree(members.map(all), lam, params, seed, 1, sink, emitTask)
+      out.iterator
+    }.collect()
+    for ((a, b, s) <- pairs) emit(a, b, s)
     results.toMap
   }
 }
 
 object CPSJoinSpark {
 
-  /** Embed all records on the driver and broadcast the payload dictionary.
+  /** Embed all records on the driver and broadcast them in input order.
     * Preprocessing is shared by CPSJoin and MinHash LSH (paper: preprocessing
     * is done once per dataset and excluded from join times).
     */
   def broadcastPayload(spark: SparkSession, recs: scala.collection.IndexedSeq[SetRec],
-                       p: CPSParams): Broadcast[Map[Long, EmbeddedRec]] = {
+                       p: CPSParams): Broadcast[IndexedSeq[EmbeddedRec]] = {
     val hasher = new MinHasher(p.t, p.ell, p.seed)
-    val embedded = EmbeddedRec.embedAll(recs, hasher)
-    spark.sparkContext.broadcast(embedded.iterator.map(r => r.id -> r).toMap)
-  }
-
-  /** Bucket-local work for one tree node: BRUTEFORCE step then splitting.
-    * Mirrors `CPSJoinLocal.recurse` one level at a time.
-    */
-  def processNode(path: Long, idIt: Iterator[Long], dict: Map[Long, EmbeddedRec],
-                  lambda: Double, p: CPSParams, atDepthCap: Boolean,
-                  stats: StatsSink): Iterator[LevelOut] = {
-    val bucket = idIt.map(dict(_)).toIndexedSeq
-    if (bucket.length < 2) return Iterator.empty
-    val out = mutable.ArrayBuffer.empty[LevelOut]
-    val emit = (a: Long, b: Long, s: Double) => { out += LevelOut(1, a, b, s); () }
-    val effective = if (atDepthCap) p.copy(limit = Int.MaxValue) else p
-    val survivors = CPSJoinLocal.bruteForceStep(bucket, lambda, effective, path, stats, emit)
-    if (survivors.length >= 2) {
-      val coords = CPSJoinLocal.splitCoordinates(path, p.t, lambda)
-      var ci = 0
-      while (ci < coords.length) {
-        val c = coords(ci)
-        val children = mutable.HashMap.empty[Int, Int]
-        for (x <- survivors) children.update(x.mh(c), children.getOrElse(x.mh(c), 0) + 1)
-        for (x <- survivors; if children(x.mh(c)) >= 2)
-          out += LevelOut(0, CPSJoinLocal.childSeed(path, c, x.mh(c)), x.id, Double.NaN)
-        ci += 1
-      }
-    }
-    out.iterator
+    spark.sparkContext.broadcast(EmbeddedRec.embedAll(recs, hasher).toIndexedSeq)
   }
 
   /** Convenience one-shot self-join with `p.reps` repetitions. */

@@ -13,7 +13,7 @@ class MinHashLSHSparkSpec extends SparkSpec {
     val recs = TestUtil.randomRecords(300, 12, 60, seed = 111, spread = 4)
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
-      val embedded = bc.value.values.toIndexedSeq
+      val embedded = bc.value
       val k = 3
       val local = mutable.HashMap.empty[(Long, Long), Double]
       for (r <- 0 until 5)

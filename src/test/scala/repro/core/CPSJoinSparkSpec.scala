@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestUtil}
 import repro.data.Datasets
 
@@ -7,24 +10,65 @@ class CPSJoinSparkSpec extends SparkSpec {
 
   private val p = CPSParams(t = 64, ell = 4, limit = 40, eps = 0.1, delta = 0.05, reps = 6, seed = 99)
 
-  test("distributed CPSJoin equals the local implementation exactly (same seeds)") {
-    // All node randomness derives from the 64-bit node seed, so the Spark
-    // level-synchronous evaluation must explore the same tree and report the
-    // same pairs as the local depth-first recursion.
-    val recs = TestUtil.randomRecords(400, 15, 100, seed = 91, spread = 5)
-    val local = CPSJoinLocal.selfJoinRaw(recs, 0.5, p)
-    val dist = CPSJoinSpark.selfJoin(spark, recs, 0.5, p)
-    assert(dist.keySet == local.keySet,
+  // Both engines run the same `CPSJoinLocal.node` on the same buckets with
+  // the same node seeds: the Spark engine runs the root on the driver and
+  // every first-level subtree in one job. So for equal parameters they must
+  // report the same pairs, similarities and Table IV counters.
+  private def assertEnginesEqual(recs: IndexedSeq[SetRec], lambda: Double, q: CPSParams = p): Unit = {
+    val localStats = new LocalStats
+    val local = CPSJoinLocal.selfJoinRaw(recs, lambda, q, localStats)
+    val (sparkStats, read) = AccumStats.create(spark, "cps-equal")
+    val dist = CPSJoinSpark.selfJoin(spark, recs, lambda, q, sparkStats)
+    val samePairs = dist == local
+    assert(samePairs,
       s"missing=${local.keySet.diff(dist.keySet).take(3)} extra=${dist.keySet.diff(local.keySet).take(3)}")
+    assert(read() == ((localStats.pre, localStats.cand, localStats.res)))
+  }
+
+  test("distributed CPSJoin equals the local implementation exactly (same seeds)") {
+    assertEnginesEqual(TestUtil.randomRecords(400, 15, 100, seed = 91, spread = 5), 0.5)
   }
 
   for ((name, lambda) <- Seq(("DBLP", 0.5), ("NETFLIX", 0.7), ("UNIFORM005", 0.5), ("TOKENS10K", 0.8)))
     test(s"distributed equals local on $name at λ=$lambda") {
-      val recs = Datasets.byName(name).gen(scale = 0.16, seed = 92).toIndexedSeq
-      val local = CPSJoinLocal.selfJoinRaw(recs, lambda, p)
-      val dist = CPSJoinSpark.selfJoin(spark, recs, lambda, p)
-      assert(dist.keySet == local.keySet)
+      assertEnginesEqual(Datasets.byName(name).gen(scale = 0.16, seed = 92).toIndexedSeq, lambda)
     }
+
+  test("distributed equals local when ids are not in ascending order") {
+    // The bucket sketch samples members by position, so the tree depends on
+    // the input order; both engines must keep it.
+    val recs = Datasets.byName("AOL").gen(scale = 0.16, seed = 92).toIndexedSeq
+    assertEnginesEqual(recs.reverse, 0.5)
+    assertEnginesEqual(new scala.util.Random(5).shuffle(recs), 0.5)
+  }
+
+  for (depth <- 0 to 2)
+    test(s"distributed equals local at maxDepth $depth") {
+      assertEnginesEqual(TestUtil.randomRecords(300, 12, 60, seed = 97, spread = 4), 0.5,
+        p.copy(maxDepth = depth))
+    }
+
+  test("one run call starts exactly one Spark job") {
+    val recs = TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4)
+    val sc = spark.sparkContext
+    for (q <- Seq(p, p.copy(maxDepth = 0))) {
+      val bc = CPSJoinSpark.broadcastPayload(spark, recs, q)
+      val jobs = new AtomicInteger
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      }
+      ListenerBusDrain(sc)
+      sc.addSparkListener(listener)
+      try {
+        new CPSJoinSpark(spark, bc, 0.5, q).run(0 until q.reps)
+        ListenerBusDrain(sc)
+      } finally {
+        sc.removeSparkListener(listener)
+        bc.destroy()
+      }
+      assert(jobs.get == 1, s"maxDepth=${q.maxDepth}")
+    }
+  }
 
   test("recall >= 0.8 and precision = 1 against ground truth (10 reps)") {
     val recs = Datasets.byName("BMS-POS").gen(scale = 0.2, seed = 93).toIndexedSeq
@@ -49,7 +93,7 @@ class CPSJoinSparkSpec extends SparkSpec {
       val join = new CPSJoinSpark(spark, bc, 0.5, p)
       val oneBatch = join.run(0 until 4)
       val twoBatches = join.run(0 until 2) ++ join.run(2 until 4)
-      assert(oneBatch.keySet == twoBatches.keySet)
+      assert(oneBatch == twoBatches)
     } finally bc.destroy()
   }
 

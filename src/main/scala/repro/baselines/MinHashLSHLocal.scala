@@ -34,54 +34,56 @@ object MinHashLSHLocal {
     h
   }
 
+  /** The buckets of ≥ 2 records of repetition `rep` at key length k, members
+    * in input order: records grouped on their minhashes at the repetition's
+    * coordinates. Both engines and the cost estimate bucket through here.
+    */
+  def buckets(recs: scala.collection.IndexedSeq[EmbeddedRec], k: Int, rep: Int,
+              p: CPSParams): Iterator[scala.collection.IndexedSeq[EmbeddedRec]] = {
+    val coords = repCoordinates(p.t, k, p.seed, rep)
+    val groups = mutable.HashMap.empty[Long, mutable.ArrayBuffer[EmbeddedRec]]
+    for (r <- recs) groups.getOrElseUpdate(bucketKey(r.mh, coords), mutable.ArrayBuffer.empty) += r
+    groups.valuesIterator.filter(_.length >= 2)
+  }
+
   /** Estimated cost of one repetition at key length k: number of in-bucket
     * pairs (similarity estimations) plus n (splitting work).
     */
-  def repCost(recs: scala.collection.IndexedSeq[EmbeddedRec], k: Int, seed: Long): Double = {
-    val coords = repCoordinates(recs.head.mh.length, k, seed, rep = -1)
-    val sizes = mutable.HashMap.empty[Long, Long]
-    for (r <- recs) {
-      val key = bucketKey(r.mh, coords)
-      sizes.update(key, sizes.getOrElse(key, 0L) + 1L)
-    }
-    sizes.valuesIterator.map(s => s * (s - 1) / 2.0).sum + recs.length.toDouble
-  }
+  def repCost(recs: scala.collection.IndexedSeq[EmbeddedRec], k: Int, seed: Long): Double =
+    buckets(recs, k, rep = -1, CPSParams(t = recs.head.mh.length, seed = seed))
+      .map(b => b.length * (b.length - 1L) / 2.0).sum + recs.length.toDouble
 
   /** Number of repetitions for recall φ at key length k (worst case at J = λ). */
   def repetitionsFor(phi: Double, lambda: Double, k: Int): Int =
     math.max(1, math.ceil(math.log(1.0 / (1.0 - phi)) / math.pow(lambda, k)).toInt)
 
-  /** Choose k ∈ kRange minimizing estimated total join cost (paper §V-B). */
+  /** Choose k ∈ kRange minimizing estimated total join cost (paper §V-B).
+    * An empty input has no buckets at any k; it gets the smallest.
+    */
   def chooseK(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, phi: Double = 0.9,
-              seed: Long = 42L, kRange: Range = 2 to 10): Int = {
-    val t = recs.head.mh.length
-    kRange.filter(_ <= t).minBy(k => repetitionsFor(phi, lambda, k) * repCost(recs, k, seed))
-  }
+              seed: Long = 42L, kRange: Range = 2 to 10): Int =
+    if (recs.isEmpty) kRange.head
+    else kRange.filter(_ <= recs.head.mh.length).minBy(k => repetitionsFor(phi, lambda, k) * repCost(recs, k, seed))
 
-  /** One repetition: split into buckets, brute-force each bucket. */
+  /** One repetition: brute-force each of its buckets. */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, k: Int, rep: Int,
              p: CPSParams, stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit = {
-    val coords = repCoordinates(p.t, k, p.seed, rep)
     val lh = Sketch.lambdaHat(lambda, p.sketchBits, p.delta)
-    val buckets = mutable.HashMap.empty[Long, mutable.ArrayBuffer[EmbeddedRec]]
-    for (r <- recs) buckets.getOrElseUpdate(bucketKey(r.mh, coords), mutable.ArrayBuffer.empty) += r
-    for ((_, bucket) <- buckets if bucket.length >= 2)
+    for (bucket <- buckets(recs, k, rep, p))
       Verification.bruteForcePairs(bucket, lambda, lh, p.sketchBits, stats, emit)
   }
+
+  /** Repetitions `reps` at key length k; returns deduplicated verified pairs. */
+  def run(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, k: Int, reps: Seq[Int],
+          p: CPSParams, stats: StatsSink): Map[(Long, Long), Double] =
+    Verification.dedup(emit => reps.foreach(r => runRep(recs, lambda, k, r, p, stats, emit)))
 
   /** Full self-join at recall target φ with the worst-case repetition count
     * (benchmarks instead repeat until measured recall ≥ φ, as in the paper).
     */
   def selfJoin(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, phi: Double = 0.9,
-               p: CPSParams = CPSParams(), stats: StatsSink = NullStats,
-               kOverride: Option[Int] = None): Map[(Long, Long), Double] = {
-    if (recs.length < 2) return Map.empty
-    val k = kOverride.getOrElse(chooseK(recs, lambda, phi, p.seed))
-    val reps = repetitionsFor(phi, lambda, k)
-    val out = mutable.HashMap.empty[(Long, Long), Double]
-    val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
-    var r = 0
-    while (r < reps) { runRep(recs, lambda, k, r, p, stats, emit); r += 1 }
-    out.toMap
+               p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
+    val k = chooseK(recs, lambda, phi, p.seed)
+    run(recs, lambda, k, 0 until repetitionsFor(phi, lambda, k), p, stats)
   }
 }

@@ -3,16 +3,17 @@ package repro.baselines
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import scala.collection.mutable
 
-/** Distributed MinHash LSH self-join (paper Algorithm 3 as a Spark dataflow).
+/** Distributed MinHash LSH self-join (paper Algorithm 3): a distribution
+  * shell around `MinHashLSHLocal.buckets`.
   *
-  * Each repetition computes one bucket key per record from k sampled minhash
-  * coordinates, shuffles by key, and brute-forces every bucket with the same
-  * sketch-filtered verifier as CPSJoin inside `flatMapGroups`. Repetitions
-  * are batched into a single dataflow by prefixing the bucket key with the
-  * repetition index. The key length k is chosen on the driver with the
-  * cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
+  * The driver buckets the broadcast payload for every repetition with the
+  * local engine's bucketing; one job (`CPSJoinSpark.finishBuckets`, the one
+  * CPSJoin uses) then brute-forces every bucket with the same
+  * sketch-filtered verifier as CPSJoin, and the driver deduplicates the
+  * collected pairs. So for equal parameters both engines report the same
+  * pairs and Table IV counters. The key length k is chosen on the driver
+  * with the cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
   */
 final class MinHashLSHSpark(
     spark: SparkSession,
@@ -21,39 +22,20 @@ final class MinHashLSHSpark(
     k: Int,
     p: CPSParams,
     stats: StatsSink = NullStats,
-) extends Serializable {
-  import spark.implicits._
+) {
 
   /** Run the given repetitions; returns deduplicated verified pairs. */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
-    val bc = payload
-    val recs = payload.value
     val lam = lambda
     val params = p
-    val kk = k
     val sink = stats
-    val repSeq = reps.toIndexedSeq
-    val rows: Seq[(Long, Int)] = for {
-      r <- repSeq
-      coords = MinHashLSHLocal.repCoordinates(params.t, kk, params.seed, r)
-      i <- recs.indices
-    } yield (repro.util.Hashing.combine(r.toLong + 1, MinHashLSHLocal.bucketKey(recs(i).mh, coords)), i)
-
-    val pairs = spark.createDataset(rows)
-      .groupByKey(_._1)
-      .flatMapGroups { (_: Long, it: Iterator[(Long, Int)]) =>
-        val bucket = it.map(t => bc.value(t._2)).toIndexedSeq
-        if (bucket.length < 2) Iterator.empty
-        else {
-          val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
-          val lh = Sketch.lambdaHat(lam, params.sketchBits, params.delta)
-          Verification.bruteForcePairs(bucket, lam, lh, params.sketchBits, sink,
-            (a, b, s) => { out += ((math.min(a, b), math.max(a, b), s)); () })
-          out.iterator
-        }
+    val lh = Sketch.lambdaHat(lam, params.sketchBits, params.delta)
+    val buckets = for (r <- reps; b <- MinHashLSHLocal.buckets(payload.value, k, r, params)) yield (b, ())
+    Verification.dedup { emit =>
+      CPSJoinSpark.finishBuckets(spark, payload, buckets, emit) { (bucket, _, emitTask) =>
+        Verification.bruteForcePairs(bucket, lam, lh, params.sketchBits, sink, emitTask)
       }
-      .collect()
-    pairs.iterator.map(t => (t._1, t._2) -> t._3).toMap
+    }
   }
 }
 

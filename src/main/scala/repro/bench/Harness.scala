@@ -77,26 +77,14 @@ object Harness {
   def measure(spark: SparkSession, name: String, recs: IndexedSeq[SetRec], lambda: Double,
               p: CPSParams = CPSParams(), recallTarget: Double = 0.9,
               maxReps: Int = 20): Measurement = {
-    val (truthPairs, allRun) = runAllPairs(spark, recs, lambda)
-    val truth = truthPairs.keySet
-
+    val (truth, all) = runAllPairs(spark, recs, lambda)
     // Preprocessing (embedding + broadcast) is shared and untimed.
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
       val (cpStats, cpCounts) = AccumStats.create(spark, s"cp-$name-$lambda")
-      val cpJoin = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
-      val cp0 = repeatToRecall(truth, recallTarget, repBatches(maxReps), reps => cpJoin.run(reps))
-      val (cpPre, cpCand, _) = cpCounts()
-      val cp = cp0.copy(pre = cpPre, cand = cpCand)
-
-      val k = MinHashLSHLocal.chooseK(bc.value, lambda, recallTarget, p.seed)
-      val lWorst = MinHashLSHLocal.repetitionsFor(recallTarget, lambda, k)
-      val mhJoin = new MinHashLSHSpark(spark, bc, lambda, k, p)
-      val mhBatchSize = math.max(1, lWorst / 4)
-      val mhBatches = (0 until 4 * lWorst).grouped(mhBatchSize).map(_.toSeq).toSeq
-      val mh = repeatToRecall(truth, recallTarget, mhBatches, reps => mhJoin.run(reps))
-
-      Measurement(name, lambda, cp, mh, allRun)
+      val cp = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
+      protocol(name, lambda, truth, all, bc.value, p, recallTarget, maxReps)(
+        cp.run, cpCounts, k => new MinHashLSHSpark(spark, bc, lambda, k, p).run)
     } finally bc.destroy()
   }
 
@@ -109,34 +97,30 @@ object Harness {
   def measureLocal(name: String, recs: IndexedSeq[SetRec], lambda: Double,
                    p: CPSParams = CPSParams(), recallTarget: Double = 0.9,
                    maxReps: Int = 20): Measurement = {
-    val (truthPairs, allSecs) = time(AllPairsLocal.selfJoin(recs, lambda))
-    val truth = truthPairs.keySet
-    val all = AlgoRun(allSecs, 1.0, 1, truthPairs.size)
+    val (truth, allSecs) = time(AllPairsLocal.selfJoin(recs, lambda))
+    val embedded = EmbeddedRec.embedAll(recs, new MinHasher(p.t, p.ell, p.seed)).toIndexedSeq // untimed
+    val cpStats = new LocalStats
+    protocol(name, lambda, truth, AlgoRun(allSecs, 1.0, 1, truth.size), embedded, p, recallTarget, maxReps)(
+      reps => CPSJoinLocal.run(embedded, lambda, p, reps, cpStats),
+      () => (cpStats.pre, cpStats.cand, cpStats.res),
+      k => reps => MinHashLSHLocal.run(embedded, lambda, k, reps, p, NullStats))
+  }
 
-    val hasher = new MinHasher(p.t, p.ell, p.seed) // preprocessing, untimed
-    val embedded = EmbeddedRec.embedAll(recs, hasher).toIndexedSeq
-
-    def cpBatch(reps: Seq[Int]): Map[(Long, Long), Double] = {
-      val out = mutable.HashMap.empty[(Long, Long), Double]
-      val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
-      reps.foreach(r => CPSJoinLocal.runRep(embedded, lambda, p, r, NullStats, emit))
-      out.toMap
-    }
-    val cp = repeatToRecall(truth, recallTarget, repBatches(maxReps), cpBatch)
-
+  /** The approximate half of the protocol, whatever the engine: `cp` runs
+    * CPSJoin repetitions and `cpCounts` reads its Table IV counters; `mh(k)`
+    * runs MinHash LSH repetitions at key length k, chosen here.
+    */
+  private def protocol(name: String, lambda: Double, truth: Map[(Long, Long), Double], all: AlgoRun,
+                       embedded: IndexedSeq[EmbeddedRec], p: CPSParams, recallTarget: Double, maxReps: Int)(
+      cp: Seq[Int] => Map[(Long, Long), Double], cpCounts: () => (Long, Long, Long),
+      mh: Int => Seq[Int] => Map[(Long, Long), Double]): Measurement = {
+    val cpRun = repeatToRecall(truth.keySet, recallTarget, repBatches(maxReps), cp)
+    val (pre, cand, _) = cpCounts()
     val k = MinHashLSHLocal.chooseK(embedded, lambda, recallTarget, p.seed)
     val lWorst = MinHashLSHLocal.repetitionsFor(recallTarget, lambda, k)
-    def mhBatch(reps: Seq[Int]): Map[(Long, Long), Double] = {
-      val out = mutable.HashMap.empty[(Long, Long), Double]
-      val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
-      reps.foreach(r => MinHashLSHLocal.runRep(embedded, lambda, k, r, p, NullStats, emit))
-      out.toMap
-    }
-    val mhBatchSize = math.max(1, lWorst / 4)
-    val mhBatches = (0 until 4 * lWorst).grouped(mhBatchSize).map(_.toSeq).toSeq
-    val mh = repeatToRecall(truth, recallTarget, mhBatches, mhBatch)
-
-    Measurement(name, lambda, cp, mh, all)
+    val batch = math.max(1, lWorst / 4)
+    val mhRun = repeatToRecall(truth.keySet, recallTarget, repBatches(4 * lWorst, batch, batch), mh(k))
+    Measurement(name, lambda, cpRun.copy(pre = pre, cand = cand), mhRun, all)
   }
 
   /** Environment knobs shared by bench suites and jobs. */

@@ -135,7 +135,6 @@ object CPSJoinLocal {
   def node(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
            nodeSeed: Long, depth: Int, stats: StatsSink,
            emit: (Long, Long, Double) => Unit): scala.collection.Seq[(scala.collection.IndexedSeq[EmbeddedRec], Long)] = {
-    if (bucket.length < 2) return Nil
     val effective = if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) else p
     val survivors = bruteForceStep(bucket, lambda, effective, nodeSeed, stats, emit)
     if (survivors.length < 2) return Nil
@@ -165,20 +164,17 @@ object CPSJoinLocal {
              stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit =
     subtree(recs, lambda, p, rootSeed(p, rep), 0, stats, emit)
 
-  /** Full self-join: `p.reps` repetitions, output deduplicated.
-    * Returns pairs (id1 < id2) with their exact Jaccard similarity.
+  /** Repetitions `reps` (tree roots); returns deduplicated result pairs
+    * (id1 < id2) with their exact Jaccard similarity.
     */
+  def run(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, reps: Seq[Int],
+          stats: StatsSink): Map[(Long, Long), Double] =
+    Verification.dedup(emit => reps.foreach(r => runRep(recs, lambda, p, r, stats, emit)))
+
+  /** Full self-join: `p.reps` repetitions, output deduplicated. */
   def selfJoin(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,
-               p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
-    val out = mutable.HashMap.empty[(Long, Long), Double]
-    val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
-    var r = 0
-    while (r < p.reps) {
-      runRep(recs, lambda, p, r, stats, emit)
-      r += 1
-    }
-    out.toMap
-  }
+               p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] =
+    run(recs, lambda, p, 0 until p.reps, stats)
 
   /** Convenience: embed raw records then self-join. */
   def selfJoinRaw(recs: scala.collection.IndexedSeq[SetRec], lambda: Double,

@@ -8,7 +8,7 @@ import scala.collection.mutable
   *
   * Below the root, the subtrees of the Chosen Path tree are independent
   * (paper §IV). For each repetition the driver runs the root `node` on the
-  * broadcast payload; one `mapPartitions` job then finishes every
+  * broadcast payload; one job (`finishBuckets`) then finishes every
   * first-level subtree with `CPSJoinLocal.subtree`, and the driver
   * deduplicates the collected pairs. A child bucket ships as the payload
   * indices of its members, in the order the split produced them.
@@ -29,33 +29,16 @@ final class CPSJoinSpark(
     * pairs (id1 < id2) with exact Jaccard similarity.
     */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
-    val results = mutable.HashMap.empty[(Long, Long), Double]
-    val emit = (a: Long, b: Long, s: Double) => { results.update((math.min(a, b), math.max(a, b)), s); () }
-    val recs = payload.value
-    // Children map back to payload positions by identity: ids need not be unique.
-    val index = new java.util.IdentityHashMap[EmbeddedRec, Int]
-    for (i <- recs.indices) index.put(recs(i), i)
-    val children = for {
-      r <- reps
-      (child, seed) <- CPSJoinLocal.node(recs, lambda, p, CPSJoinLocal.rootSeed(p, r), 0, stats, emit)
-    } yield (child.map(index.get).toArray, seed)
-
-    val bc = payload
     val lam = lambda
     val params = p
     val sink = stats
-    val sc = spark.sparkContext
-    val slices = math.max(1, math.min(children.length, sc.defaultParallelism))
-    val pairs = sc.parallelize(children, slices).mapPartitions { it =>
-      val all = bc.value
-      val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
-      val emitTask = (a: Long, b: Long, s: Double) => { out += ((a, b, s)); () }
-      for ((members, seed) <- it)
-        CPSJoinLocal.subtree(members.map(all), lam, params, seed, 1, sink, emitTask)
-      out.iterator
-    }.collect()
-    for ((a, b, s) <- pairs) emit(a, b, s)
-    results.toMap
+    Verification.dedup { emit =>
+      val children = reps.flatMap(r =>
+        CPSJoinLocal.node(payload.value, lam, params, CPSJoinLocal.rootSeed(params, r), 0, sink, emit))
+      CPSJoinSpark.finishBuckets(spark, payload, children, emit) { (bucket, seed, emitTask) =>
+        CPSJoinLocal.subtree(bucket, lam, params, seed, 1, sink, emitTask)
+      }
+    }
   }
 }
 
@@ -69,6 +52,34 @@ object CPSJoinSpark {
                        p: CPSParams): Broadcast[IndexedSeq[EmbeddedRec]] = {
     val hasher = new MinHasher(p.t, p.ell, p.seed)
     spark.sparkContext.broadcast(EmbeddedRec.embedAll(recs, hasher).toIndexedSeq)
+  }
+
+  /** Finishes `buckets` of payload records in one Spark job and passes the
+    * pairs their tasks emit to `emit` on the driver. A bucket ships as the
+    * payload indices of its members, found by identity (ids need not be
+    * unique), with its `S` (a node seed, say); `min(buckets,
+    * defaultParallelism)` slices of them run `finish` against the broadcast
+    * payload. One call is one job and no shuffle. Shared by CPSJoin and
+    * MinHash LSH.
+    */
+  def finishBuckets[S](spark: SparkSession, payload: Broadcast[IndexedSeq[EmbeddedRec]],
+                       buckets: Seq[(scala.collection.IndexedSeq[EmbeddedRec], S)],
+                       emit: (Long, Long, Double) => Unit)(
+      finish: (scala.collection.IndexedSeq[EmbeddedRec], S, (Long, Long, Double) => Unit) => Unit): Unit = {
+    val recs = payload.value
+    val index = new java.util.IdentityHashMap[EmbeddedRec, Int]
+    for (i <- recs.indices) index.put(recs(i), i)
+    val shipped = buckets.map { case (members, s) => (members.map(index.get).toArray, s) }
+    val sc = spark.sparkContext
+    val slices = math.max(1, math.min(shipped.length, sc.defaultParallelism))
+    val pairs = sc.parallelize(shipped, slices).mapPartitions { it =>
+      val all = payload.value
+      val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+      val emitTask = (a: Long, b: Long, s: Double) => { out += ((a, b, s)); () }
+      for ((members, s) <- it) finish(members.map(all), s, emitTask)
+      out.iterator
+    }.collect()
+    for ((a, b, s) <- pairs) emit(a, b, s)
   }
 
   /** Convenience one-shot self-join with `p.reps` repetitions. */

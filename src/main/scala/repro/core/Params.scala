@@ -8,7 +8,10 @@ package repro.core
   * @param eps     brute-force aggressiveness ε (final: 0.1)
   * @param delta   sketch false-negative probability δ (final: 0.05)
   * @param reps    independent repetitions of the join (paper §V-A5: 10)
-  * @param seed    base seed; repetition r uses seed `seed + r`
+  * @param seed    base seed: the MinHash and sketch functions derive from it,
+  *                 CPSJoin's repetition r grows its tree from
+  *                 `CPSJoinLocal.rootSeed(p, r)`, and MinHash LSH's repetition
+  *                 r samples its coordinates with `MinHashLSHLocal.repCoordinates`
   * @param maxDepth safety cap on the Chosen Path tree depth (paper: depth is
   *                 O(log n / ε) w.h.p.; buckets still alive at the cap are
   *                 brute-forced so correctness is unaffected)

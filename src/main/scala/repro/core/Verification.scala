@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** Candidate-pair verification shared by CPSJoin, MinHash LSH and the
   * brute-force subroutines (paper §V-A2/4).
   *
@@ -61,5 +63,15 @@ object Verification {
       }
       j += 1
     }
+  }
+
+  /** Runs `body` with an emit callback and returns the emitted pairs,
+    * deduplicated and keyed (smaller id, larger id): the output of every
+    * approximate join, whose buckets and repetitions report a pair repeatedly.
+    */
+  def dedup(body: ((Long, Long, Double) => Unit) => Unit): Map[(Long, Long), Double] = {
+    val out = mutable.HashMap.empty[(Long, Long), Double]
+    body((a, b, s) => out.update((math.min(a, b), math.max(a, b)), s))
+    out.toMap
   }
 }

@@ -3,26 +3,44 @@ package repro.baselines
 import repro.{SparkSpec, TestUtil}
 import repro.core._
 import repro.data.Datasets
-import scala.collection.mutable
 
 class MinHashLSHSparkSpec extends SparkSpec {
 
   private val p = CPSParams(t = 64, ell = 4, seed = 17)
 
-  test("distributed repetitions equal the local repetitions (same seeds)") {
-    val recs = TestUtil.randomRecords(300, 12, 60, seed = 111, spread = 4)
+  // Both engines brute-force the buckets of `MinHashLSHLocal.buckets`, with
+  // members in input order, through the same verifier. So for equal
+  // parameters they must report the same pairs, similarities and Table IV
+  // counters.
+  private def assertEnginesEqual(recs: IndexedSeq[SetRec], lambda: Double, k: Int, reps: Range): Unit = {
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
-      val embedded = bc.value
-      val k = 3
-      val local = mutable.HashMap.empty[(Long, Long), Double]
-      for (r <- 0 until 5)
-        MinHashLSHLocal.runRep(embedded, 0.5, k, r, p, NullStats,
-          (a, b, s) => local.update((math.min(a, b), math.max(a, b)), s))
-      val dist = new MinHashLSHSpark(spark, bc, 0.5, k, p).run(0 until 5)
-      assert(dist.keySet == local.keySet,
+      val localStats = new LocalStats
+      val local = MinHashLSHLocal.run(bc.value, lambda, k, reps, p, localStats)
+      val (sparkStats, read) = AccumStats.create(spark, "mh-equal")
+      val dist = new MinHashLSHSpark(spark, bc, lambda, k, p, sparkStats).run(reps)
+      val samePairs = dist == local
+      assert(samePairs,
         s"missing=${local.keySet.diff(dist.keySet).take(3)} extra=${dist.keySet.diff(local.keySet).take(3)}")
+      assert(read() == ((localStats.pre, localStats.cand, localStats.res)))
     } finally bc.destroy()
+  }
+
+  test("distributed repetitions equal the local repetitions (same seeds)") {
+    assertEnginesEqual(TestUtil.randomRecords(300, 12, 60, seed = 111, spread = 4), 0.5, k = 3, 0 until 5)
+    // Ids not in ascending order: both engines must keep the input order.
+    val aol = Datasets.byName("AOL").gen(scale = 0.16, seed = 92).toIndexedSeq
+    assertEnginesEqual(aol.reverse, 0.5, k = 3, 0 until 8)
+    assertEnginesEqual(new scala.util.Random(5).shuffle(aol), 0.5, k = 3, 0 until 8)
+  }
+
+  test("one run call starts exactly one Spark job and writes no shuffle bytes") {
+    val recs = TestUtil.randomRecords(300, 12, 60, seed = 113, spread = 4)
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    val (jobs, shuffleBytes) =
+      try jobsAndShuffleBytes(new MinHashLSHSpark(spark, bc, 0.5, 3, p).run(0 until 5))
+      finally bc.destroy()
+    assert(jobs == 1 && shuffleBytes == 0, s"jobs=$jobs shuffle bytes=$shuffleBytes")
   }
 
   for ((name, lambda) <- Seq(("DBLP", 0.5), ("UNIFORM005", 0.7)))
@@ -35,6 +53,7 @@ class MinHashLSHSparkSpec extends SparkSpec {
     }
 
   test("trivial inputs") {
+    assert(MinHashLSHSpark.selfJoin(spark, IndexedSeq.empty, 0.5, 0.9, p).isEmpty)
     assert(MinHashLSHSpark.selfJoin(spark, IndexedSeq(SetRec(0, Array(1, 2))), 0.5, 0.9, p).isEmpty)
   }
 }

@@ -1,8 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestUtil}
 import repro.data.Datasets
 
@@ -50,23 +47,12 @@ class CPSJoinSparkSpec extends SparkSpec {
 
   test("one run call starts exactly one Spark job") {
     val recs = TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4)
-    val sc = spark.sparkContext
     for (q <- Seq(p, p.copy(maxDepth = 0))) {
       val bc = CPSJoinSpark.broadcastPayload(spark, recs, q)
-      val jobs = new AtomicInteger
-      val listener = new SparkListener {
-        override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-      }
-      ListenerBusDrain(sc)
-      sc.addSparkListener(listener)
-      try {
-        new CPSJoinSpark(spark, bc, 0.5, q).run(0 until q.reps)
-        ListenerBusDrain(sc)
-      } finally {
-        sc.removeSparkListener(listener)
-        bc.destroy()
-      }
-      assert(jobs.get == 1, s"maxDepth=${q.maxDepth}")
+      val (jobs, shuffleBytes) =
+        try jobsAndShuffleBytes(new CPSJoinSpark(spark, bc, 0.5, q).run(0 until q.reps))
+        finally bc.destroy()
+      assert(jobs == 1 && shuffleBytes == 0, s"maxDepth=${q.maxDepth}")
     }
   }
 
@@ -98,6 +84,7 @@ class CPSJoinSparkSpec extends SparkSpec {
   }
 
   test("empty and single-record inputs yield no pairs") {
+    assert(CPSJoinSpark.selfJoin(spark, IndexedSeq.empty, 0.5, p).isEmpty)
     assert(CPSJoinSpark.selfJoin(spark, IndexedSeq(SetRec(0, Array(1, 2))), 0.5, p).isEmpty)
   }
 

@@ -3,6 +3,40 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 
+/** Randomized embedding from any LSHable similarity measure to fixed-size
+  * sets (paper §II-A): with h_1,…,h_t drawn from a family satisfying
+  * Pr[h(x) = h(y)] = sim(x, y), the embedding f(x) = {(i, h_i(x))} has
+  * E[|f(x) ∩ f(y)|] = t·sim(x,y), turning any LSHable join into a
+  * Braun–Blanquet join over sets of fixed size t.
+  *
+  * For Jaccard similarity the h_i are MinHash functions, so f(x) is exactly
+  * the record's minhash vector tagged with the coordinate index. CPSJoin
+  * operates on this representation implicitly (its splitting step samples
+  * coordinates i and buckets on h_i(x)); this helper materializes it for the
+  * tests of the concentration claim and for the Braun–Blanquet similarity.
+  */
+private object Embedding {
+
+  /** Materialize f(x) for a minhash vector: element i is (i, mh_i). */
+  def embed(mh: Array[Int]): Array[Long] = {
+    val out = new Array[Long](mh.length)
+    var i = 0
+    while (i < mh.length) { out(i) = (i.toLong << 32) | (mh(i).toLong & 0xffffffffL); i += 1 }
+    out
+  }
+
+  /** Braun–Blanquet similarity of two embedded records of equal size t:
+    * B(f(x), f(y)) = |f(x) ∩ f(y)| / t, i.e. the fraction of agreeing
+    * minhash coordinates — an unbiased estimator of Jaccard similarity.
+    */
+  def braunBlanquet(mhX: Array[Int], mhY: Array[Int]): Double = {
+    require(mhX.length == mhY.length, "embedded records must have equal size t")
+    var agree = 0; var i = 0
+    while (i < mhX.length) { if (mhX(i) == mhY(i)) agree += 1; i += 1 }
+    agree.toDouble / mhX.length
+  }
+}
+
 class EmbeddingSpec extends AnyFunSuite {
 
   test("embed tags each coordinate with its index (fixed size t)") {

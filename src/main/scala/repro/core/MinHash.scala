@@ -13,9 +13,13 @@ import java.util.SplittableRandom
   *    random 1-bit hash of the i-th (independent) MinHash of x, used for fast
   *    similarity estimation via popcount (Li–König).
   *
-  * Hashing: one Zobrist/tabulation hash per token, mixed with a per-function
-  * salt through a SplitMix64 finalizer (see `repro.util.Hashing` and
-  * DESIGN.md for why this substitution for per-function tabulation is safe).
+  * Hashing: one Zobrist/tabulation hash z per token, computed once per
+  * record; each of the t + 64·sketchWords functions mixes z with its own salt
+  * through a SplitMix64 finalizer (t + 64·sketchWords mixes per token). Sketch
+  * bit b is one more mix of the stored z of function t + b's argmin token with
+  * a bit salt (64·sketchWords bit mixes per record); no token is hashed twice.
+  * See `repro.util.Hashing` and DESIGN.md for why this substitution for
+  * per-function tabulation is safe.
   */
 final class MinHasher(val t: Int, val sketchWords: Int, seed: Long) extends Serializable {
   require(t > 0 && sketchWords >= 0)
@@ -34,37 +38,42 @@ final class MinHasher(val t: Int, val sketchWords: Int, seed: Long) extends Seri
   }
 
   /** Embed a record: (minhash vector of length t, sketch of sketchWords words).
-    * Cost: one tabulation hash per token plus (t + sketchBits) mixes per token.
+    * Cost: one tabulation hash per token, (t + sketchBits) mixes per token, and
+    * sketchBits bit mixes per record; the argmin token is not hashed again.
     */
   def embed(tokens: Array[Int]): (Array[Int], Array[Long]) = {
     require(tokens.nonEmpty, "cannot embed an empty set")
-    val minVals = Array.fill(nFns)(Long.MaxValue)
-    val argmin  = new Array[Int](nFns)
+    val zs = new Array[Long](tokens.length)
     var ti = 0
-    while (ti < tokens.length) {
-      val z = tab.hash(tokens(ti))
-      var f = 0
-      while (f < nFns) {
-        val v = Hashing.mix64(z ^ fnSalts(f))
-        if (v < minVals(f)) { minVals(f) = v; argmin(f) = tokens(ti) }
-        f += 1
-      }
-      ti += 1
-    }
-    val mh = java.util.Arrays.copyOfRange(argmin, 0, t)
+    while (ti < zs.length) { zs(ti) = tab.hash(tokens(ti)); ti += 1 }
+    val mh = new Array[Int](t)
+    var f = 0
+    while (f < t) { mh(f) = tokens(argmin(zs, fnSalts(f))); f += 1 }
     val sketch = new Array[Long](sketchWords)
     var b = 0
     while (b < sketchBits) {
       // 1-bit hash g_b of the b-th minhash token (paper: bit i = g_i(h_i(x))).
-      val bit = Hashing.mix64(tab.hash(argmin(t + b)) ^ bitSalts(b)) & 1L
+      val bit = Hashing.mix64(zs(argmin(zs, fnSalts(t + b))) ^ bitSalts(b)) & 1L
       sketch(b >>> 6) |= bit << (b & 63)
       b += 1
     }
     (mh, sketch)
   }
 
-  /** MinHash vector only (used by tests on the minwise property). */
-  def minhash(tokens: Array[Int]): Array[Int] = embed(tokens)._1
+  /** Index of the token whose hash `zs(i)`, mixed with `salt`, is smallest;
+    * the earliest such token on ties.
+    */
+  private def argmin(zs: Array[Long], salt: Long): Int = {
+    var best = Hashing.mix64(zs(0) ^ salt)
+    var arg = 0
+    var i = 1
+    while (i < zs.length) {
+      val v = Hashing.mix64(zs(i) ^ salt)
+      if (v < best) { best = v; arg = i }
+      i += 1
+    }
+    arg
+  }
 }
 
 /** Fully preprocessed record: original tokens + minhash vector + sketch. */

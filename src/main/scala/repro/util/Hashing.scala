@@ -10,8 +10,8 @@ import java.util.SplittableRandom
   * same 4×256-entry tabulation scheme. Where the paper evaluates hundreds of
   * independent hash functions per token (one per minhash/sketch bit) we
   * instead evaluate one tabulation hash per token and derive per-function
-  * values with a strong 64-bit finalizer mixed with a per-function odd
-  * constant (see DESIGN.md, substitutions). All randomness is derived from
+  * values by XORing it with a per-function random salt and applying a strong
+  * 64-bit finalizer (see DESIGN.md, substitutions). All randomness is derived from
   * `java.util.SplittableRandom`, so every run is deterministic in its seed.
   */
 object Hashing {

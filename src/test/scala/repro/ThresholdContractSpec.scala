@@ -3,7 +3,10 @@ package repro
 import repro.baselines.{MinHashLSHLocal, MinHashLSHSpark}
 import repro.core._
 
-/** The approximate joins take λ ∈ (0, 1), as the exact AllPairs joins do. */
+/** The approximate joins take λ ∈ (0, 1), as the exact AllPairs joins do,
+  * and every entry point that embeds raw records rejects a record with no
+  * tokens.
+  */
 class ThresholdContractSpec extends SparkSpec {
 
   private val p = CPSParams(t = 64, ell = 4, reps = 2, seed = 3)
@@ -26,5 +29,18 @@ class ThresholdContractSpec extends SparkSpec {
       }
     for ((name, join) <- approximateJoins(twins, 0.9))
       assert(join() == Map((0L, 1L) -> 1.0), name)
+  }
+
+  test("every raw entry point rejects an input that holds an empty set") {
+    val withEmpty = twins :+ SetRec(2, Array.empty[Int])
+    val rawJoins: Seq[(String, () => Any)] = Seq(
+      "CPSJoinLocal.selfJoinRaw" -> (() => CPSJoinLocal.selfJoinRaw(withEmpty, 0.5, p)),
+      "CPSJoinSpark.selfJoin" -> (() => CPSJoinSpark.selfJoin(spark, withEmpty, 0.5, p)),
+      "CPSJoinSpark.broadcastPayload" -> (() => CPSJoinSpark.broadcastPayload(spark, withEmpty, p)),
+      "MinHashLSHSpark.selfJoin" -> (() => MinHashLSHSpark.selfJoin(spark, withEmpty, 0.5, 0.9, p)))
+    for ((name, join) <- rawJoins)
+      withClue(s"$name: ") {
+        assert(intercept[IllegalArgumentException](join()).getMessage == "requirement failed: cannot embed an empty set")
+      }
   }
 }

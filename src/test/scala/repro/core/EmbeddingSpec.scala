@@ -73,7 +73,7 @@ class EmbeddingSpec extends AnyFunSuite {
       val trials = 10
       for (seed <- 0 until trials) {
         val h = new MinHasher(t, 0, seed = 500 + seed)
-        sum += Embedding.braunBlanquet(h.minhash(x.tokens), h.minhash(y.tokens))
+        sum += Embedding.braunBlanquet(h.embed(x.tokens)._1, h.embed(y.tokens)._1)
       }
       val avg = sum / trials
       assert(math.abs(avg - j) < 0.06, s"B estimate $avg vs J=$j")

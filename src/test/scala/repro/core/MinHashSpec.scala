@@ -2,9 +2,71 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.data.Datasets
+import repro.util.Hashing
+import repro.util.Hashing.Tabulation64
 import java.util.SplittableRandom
 
+/** Reference embedding: a direct token-outer loop with one running minimum
+  * per function in an array, which hashes each argmin token again for its
+  * sketch bit, from the same seeded tabulation table and salts as
+  * `MinHasher`. `MinHasher.embed` must return exactly its arrays.
+  */
+private object ReferenceEmbed {
+
+  def embed(t: Int, sketchWords: Int, seed: Long, tokens: Array[Int]): (Array[Int], Array[Long]) = {
+    val sketchBits = 64 * sketchWords
+    val nFns = t + sketchBits
+    val tab = new Tabulation64(seed)
+    val fnRng = new SplittableRandom(Hashing.mix64(seed ^ 0x5ca1ab1eL))
+    val fnSalts = Array.fill(nFns)(fnRng.nextLong())
+    val bitRng = new SplittableRandom(Hashing.mix64(seed ^ 0x0ddba11L))
+    val bitSalts = Array.fill(math.max(1, sketchBits))(bitRng.nextLong())
+    val minVals = Array.fill(nFns)(Long.MaxValue)
+    val argmin = new Array[Int](nFns)
+    for (token <- tokens) {
+      val z = tab.hash(token)
+      for (f <- 0 until nFns) {
+        val v = Hashing.mix64(z ^ fnSalts(f))
+        if (v < minVals(f)) { minVals(f) = v; argmin(f) = token }
+      }
+    }
+    val sketch = new Array[Long](sketchWords)
+    for (b <- 0 until sketchBits) {
+      val bit = Hashing.mix64(tab.hash(argmin(t + b)) ^ bitSalts(b)) & 1L
+      sketch(b >>> 6) |= bit << (b & 63)
+    }
+    (argmin.take(t), sketch)
+  }
+}
+
 class MinHashSpec extends AnyFunSuite {
+
+  test("embed equals the reference embedding array for array") {
+    val rng = new SplittableRandom(11)
+    for ((t, ell) <- Seq((1, 0), (1, 8), (16, 1), (128, 8)); seed <- Seq(0L, 1L, 42L, -7L);
+         size <- Seq(1, 2, 3, 4, 37, 212, 1000)) {
+      val tokens = rng.ints(size.toLong * 4, 0, Int.MaxValue).distinct().limit(size.toLong).toArray
+      val (mh, sketch) = new MinHasher(t, ell, seed).embed(tokens)
+      val (refMh, refSketch) = ReferenceEmbed.embed(t, ell, seed, tokens)
+      withClue(s"t=$t ℓ=$ell seed=$seed |x|=$size: ") {
+        assert(mh.length == t && sketch.length == ell)
+        assert(mh.sameElements(refMh))
+        assert(sketch.sameElements(refSketch))
+      }
+    }
+  }
+
+  test("embedAll on AOL (seed 7) with the default parameters matches its recorded checksum") {
+    // Recorded from the reference embedding; a change of hash family changes it.
+    val p = CPSParams()
+    val emb = EmbeddedRec.embedAll(Datasets.byName("AOL").gen(1.0, 7), new MinHasher(p.t, p.ell, p.seed))
+    val checksum = emb.foldLeft(17L) { (acc, e) =>
+      e.sketch.foldLeft(e.mh.foldLeft(acc)((a, v) => a * 31 + v))((a, v) => a * 31 + v)
+    }
+    assert(emb.length == 2000)
+    assert(checksum == -8221457277115399322L)
+  }
 
   test("embed is deterministic in the seed") {
     val h1 = new MinHasher(32, 2, seed = 5)
@@ -19,13 +81,13 @@ class MinHashSpec extends AnyFunSuite {
     val h1 = new MinHasher(32, 2, seed = 5)
     val h2 = new MinHasher(32, 2, seed = 6)
     val tokens = Array(3, 17, 99, 256, 70000)
-    assert(!h1.minhash(tokens).sameElements(h2.minhash(tokens)))
+    assert(!h1.embed(tokens)._1.sameElements(h2.embed(tokens)._1))
   }
 
   test("minhash values are elements of the input set") {
     val h = new MinHasher(64, 1, seed = 1)
     val tokens = Array(2, 5, 11, 23, 47)
-    val mh = h.minhash(tokens)
+    val mh = h.embed(tokens)._1
     assert(mh.forall(tokens.contains))
     assert(mh.length == 64)
   }
@@ -52,7 +114,7 @@ class MinHashSpec extends AnyFunSuite {
       var total = 0
       for (seed <- 0 until 20) {
         val h = new MinHasher(64, 0, seed = 1000 + seed)
-        val a = h.minhash(x.tokens); val b = h.minhash(y.tokens)
+        val a = h.embed(x.tokens)._1; val b = h.embed(y.tokens)._1
         for (i <- 0 until 64) { if (a(i) == b(i)) agree += 1; total += 1 }
       }
       val rate = agree.toDouble / total
@@ -104,9 +166,9 @@ class MinHashSpec extends AnyFunSuite {
 
   test("singleton sets collide in minhash iff equal") {
     val h = new MinHasher(16, 1, seed = 9)
-    val a = h.minhash(Array(42))
-    val b = h.minhash(Array(42))
-    val c = h.minhash(Array(43))
+    val a = h.embed(Array(42))._1
+    val b = h.embed(Array(42))._1
+    val c = h.embed(Array(43))._1
     assert(a.sameElements(b))
     assert(!a.sameElements(c))
   }

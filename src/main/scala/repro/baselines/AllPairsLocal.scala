@@ -45,8 +45,9 @@ object AllPairsLocal {
 
   /** Exact self-join; returns pairs (id1 < id2) with their similarity. */
   def selfJoin(recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
-               stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
+               stats: LocalStats = new LocalStats): Map[(Long, Long), Double] = {
     require(lambda > 0 && lambda < 1)
+    SetRec.requireDistinctIds(recs)
     if (recs.length < 2) return Map.empty
     val ranks = tokenRanks(recs)
     // Map every record into rank space (bijective, so similarities are
@@ -82,7 +83,7 @@ object AllPairsLocal {
             listStart.update(tok, li)
             while (li < list.length) {
               val yi = list(li)
-              stats.preCandidates(1)
+              stats.pre += 1
               overlapCount.update(yi, overlapCount.getOrElse(yi, 0) + 1)
               li += 1
             }
@@ -91,13 +92,13 @@ object AllPairsLocal {
         pi += 1
       }
       for ((yi, _) <- overlapCount) {
-        stats.candidates(1)
+        stats.cand += 1
         val y = sorted(yi)
         val inter = Jaccard.intersectionSize(x.tokens, y.tokens)
         if (inter >= Jaccard.overlapThreshold(sx, y.tokens.length, lambda) - 1e-9) {
           val sim = inter.toDouble / (sx + y.tokens.length - inter)
           if (sim >= lambda - 1e-12) {
-            stats.results(1)
+            stats.res += 1
             out += (((math.min(x.id, y.id), math.max(x.id, y.id)), sim))
           }
         }

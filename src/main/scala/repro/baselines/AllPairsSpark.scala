@@ -34,8 +34,11 @@ object AllPairsSpark {
     inter.toDouble / (xs.length + ys.length - inter)
   }
 
-  /** Input records as a DataFrame (id: long, tokens: array<int>). */
+  /** Input records as a DataFrame (id: long, tokens: array<int>); ids must
+    * be distinct.
+    */
   def toDF(spark: SparkSession, recs: Seq[SetRec]): DataFrame = {
+    SetRec.requireDistinctIds(recs)
     import spark.implicits._
     recs.map(r => (r.id, r.tokens.toSeq)).toDF("id", "tokens")
   }

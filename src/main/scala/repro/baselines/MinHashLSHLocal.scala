@@ -67,7 +67,7 @@ object MinHashLSHLocal {
 
   /** One repetition: brute-force each of its buckets. */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, k: Int, rep: Int,
-             p: CPSParams, stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit = {
+             p: CPSParams, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
     val lh = Sketch.lambdaHat(lambda, p.sketchBits, p.delta)
     for (bucket <- buckets(recs, k, rep, p))
       Verification.bruteForcePairs(bucket, lambda, lh, p.sketchBits, stats, emit)
@@ -75,14 +75,14 @@ object MinHashLSHLocal {
 
   /** Repetitions `reps` at key length k; returns deduplicated verified pairs. */
   def run(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, k: Int, reps: Seq[Int],
-          p: CPSParams, stats: StatsSink): Map[(Long, Long), Double] =
+          p: CPSParams, stats: LocalStats): Map[(Long, Long), Double] =
     Verification.dedup(emit => reps.foreach(r => runRep(recs, lambda, k, r, p, stats, emit)))
 
   /** Full self-join at recall target φ with the worst-case repetition count
     * (benchmarks instead repeat until measured recall ≥ φ, as in the paper).
     */
   def selfJoin(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, phi: Double = 0.9,
-               p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
+               p: CPSParams = CPSParams(), stats: LocalStats = new LocalStats): Map[(Long, Long), Double] = {
     val k = chooseK(recs, lambda, phi, p.seed)
     run(recs, lambda, k, 0 until repetitionsFor(phi, lambda, k), p, stats)
   }

@@ -21,19 +21,18 @@ final class MinHashLSHSpark(
     lambda: Double,
     k: Int,
     p: CPSParams,
-    stats: StatsSink = NullStats,
+    stats: LocalStats = new LocalStats,
 ) {
 
   /** Run the given repetitions; returns deduplicated verified pairs. */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
     val lam = lambda
     val params = p
-    val sink = stats
     val lh = Sketch.lambdaHat(lam, params.sketchBits, params.delta)
     val buckets = for (r <- reps; b <- MinHashLSHLocal.buckets(payload.value, k, r, params)) yield (b, ())
     Verification.dedup { emit =>
-      CPSJoinSpark.finishBuckets(spark, payload, buckets, emit) { (bucket, _, emitTask) =>
-        Verification.bruteForcePairs(bucket, lam, lh, params.sketchBits, sink, emitTask)
+      CPSJoinSpark.finishBuckets(spark, payload, buckets, stats, emit) { (bucket, _, taskStats, emitTask) =>
+        Verification.bruteForcePairs(bucket, lam, lh, params.sketchBits, taskStats, emitTask)
       }
     }
   }
@@ -43,7 +42,7 @@ object MinHashLSHSpark {
   /** One-shot self-join at recall target φ with worst-case repetition count. */
   def selfJoin(spark: SparkSession, recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
                phi: Double = 0.9, p: CPSParams = CPSParams(),
-               stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
+               stats: LocalStats = new LocalStats): Map[(Long, Long), Double] = {
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
       val k = MinHashLSHLocal.chooseK(bc.value, lambda, phi, p.seed)

@@ -81,10 +81,10 @@ object Harness {
     // Preprocessing (embedding + broadcast) is shared and untimed.
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
-      val (cpStats, cpCounts) = AccumStats.create(spark, s"cp-$name-$lambda")
+      val cpStats = new LocalStats
       val cp = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
-      protocol(name, lambda, truth, all, bc.value, p, recallTarget, maxReps)(
-        cp.run, cpCounts, k => new MinHashLSHSpark(spark, bc, lambda, k, p).run)
+      protocol(name, lambda, truth, all, bc.value, p, recallTarget, maxReps, cpStats)(
+        cp.run, k => new MinHashLSHSpark(spark, bc, lambda, k, p).run)
     } finally bc.destroy()
   }
 
@@ -100,27 +100,26 @@ object Harness {
     val (truth, allSecs) = time(AllPairsLocal.selfJoin(recs, lambda))
     val embedded = EmbeddedRec.embedAll(recs, new MinHasher(p.t, p.ell, p.seed)).toIndexedSeq // untimed
     val cpStats = new LocalStats
-    protocol(name, lambda, truth, AlgoRun(allSecs, 1.0, 1, truth.size), embedded, p, recallTarget, maxReps)(
+    protocol(name, lambda, truth, AlgoRun(allSecs, 1.0, 1, truth.size), embedded, p, recallTarget, maxReps, cpStats)(
       reps => CPSJoinLocal.run(embedded, lambda, p, reps, cpStats),
-      () => (cpStats.pre, cpStats.cand, cpStats.res),
-      k => reps => MinHashLSHLocal.run(embedded, lambda, k, reps, p, NullStats))
+      k => reps => MinHashLSHLocal.run(embedded, lambda, k, reps, p, new LocalStats))
   }
 
   /** The approximate half of the protocol, whatever the engine: `cp` runs
-    * CPSJoin repetitions and `cpCounts` reads its Table IV counters; `mh(k)`
-    * runs MinHash LSH repetitions at key length k, chosen here.
+    * CPSJoin repetitions counting into `cpStats`; `mh(k)` runs MinHash LSH
+    * repetitions at key length k, chosen here.
     */
   private def protocol(name: String, lambda: Double, truth: Map[(Long, Long), Double], all: AlgoRun,
-                       embedded: IndexedSeq[EmbeddedRec], p: CPSParams, recallTarget: Double, maxReps: Int)(
-      cp: Seq[Int] => Map[(Long, Long), Double], cpCounts: () => (Long, Long, Long),
+                       embedded: IndexedSeq[EmbeddedRec], p: CPSParams, recallTarget: Double, maxReps: Int,
+                       cpStats: LocalStats)(
+      cp: Seq[Int] => Map[(Long, Long), Double],
       mh: Int => Seq[Int] => Map[(Long, Long), Double]): Measurement = {
     val cpRun = repeatToRecall(truth.keySet, recallTarget, repBatches(maxReps), cp)
-    val (pre, cand, _) = cpCounts()
     val k = MinHashLSHLocal.chooseK(embedded, lambda, recallTarget, p.seed)
     val lWorst = MinHashLSHLocal.repetitionsFor(recallTarget, lambda, k)
     val batch = math.max(1, lWorst / 4)
     val mhRun = repeatToRecall(truth.keySet, recallTarget, repBatches(4 * lWorst, batch, batch), mh(k))
-    Measurement(name, lambda, cpRun.copy(pre = pre, cand = cand), mhRun, all)
+    Measurement(name, lambda, cpRun.copy(pre = cpStats.pre, cand = cpStats.cand), mhRun, all)
   }
 
   /** Environment knobs shared by bench suites and jobs. */

@@ -163,12 +163,11 @@ object Tables {
       val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
       try for (lambda <- lambdas) {
         val (truthPairs, allRun) = Harness.runAllPairs(spark, recs, lambda)
-        val (cpStats, cpCounts) = AccumStats.create(spark, s"t4-$lambda-${d.name}")
+        val cpStats = new LocalStats
         val cpJoin = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
         val cp = Harness.repeatToRecall(truthPairs.keySet, 0.9, Harness.repBatches(20),
           reps => cpJoin.run(reps))
-        val (cpPre, cpCand, _) = cpCounts()
-        sb ++= f"${d.name}%-12s $lambda%4.1f ${allRun.pre}%10d $cpPre%10d ${allRun.cand}%10d $cpCand%10d ${truthPairs.size}%9d ${cp.results}%9d\n"
+        sb ++= f"${d.name}%-12s $lambda%4.1f ${allRun.pre}%10d ${cpStats.pre}%10d ${allRun.cand}%10d ${cpStats.cand}%10d ${truthPairs.size}%9d ${cp.results}%9d\n"
         println(sb.result().linesIterator.toSeq.last)
       } finally bc.destroy()
     }

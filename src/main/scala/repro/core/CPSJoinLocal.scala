@@ -27,60 +27,33 @@ import scala.collection.mutable
 object CPSJoinLocal {
 
   /** The BRUTEFORCE step of one node (Algorithm 2). Runs it on `bucket`;
-    * emits verified pairs through `emit` and returns the surviving records
-    * (empty if the bucket was fully brute-forced).
-    *
-    * @param useExactAvg use Algorithm 2's exact token-count average-similarity
-    *                    rule over the embedded coordinates instead of the
-    *                    sketch heuristic (slower; used in tests)
+    * emits verified pairs through `emit`, counts them into `stats` and
+    * returns the surviving records (empty if the bucket was fully
+    * brute-forced). Above `p.limit`, a record is removed when its sketch
+    * estimate against the bucket sketch ŝ exceeds (1 − ε)λ (§V-A).
     */
   def bruteForceStep(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
-                     nodeSeed: Long, stats: StatsSink,
-                     emit: (Long, Long, Double) => Unit,
-                     useExactAvg: Boolean = false): scala.collection.IndexedSeq[EmbeddedRec] = {
+                     nodeSeed: Long, stats: LocalStats,
+                     emit: (Long, Long, Double) => Unit): scala.collection.IndexedSeq[EmbeddedRec] = {
     val lh = Sketch.lambdaHat(lambda, p.sketchBits, p.delta)
     if (bucket.length <= p.limit) {
       Verification.bruteForcePairs(bucket, lambda, lh, p.sketchBits, stats, emit)
       return Vector.empty
     }
     val removeFlag = new Array[Boolean](bucket.length)
-    if (useExactAvg) {
-      // Algorithm 2 verbatim on the embedded representation: count[(i, v)]
-      // is the number of bucket members whose i-th minhash equals v.
-      val count = mutable.HashMap.empty[Long, Int]
-      for (x <- bucket; i <- 0 until p.t) {
-        val key = (i.toLong << 32) | (x.mh(i).toLong & 0xffffffffL)
-        count.update(key, count.getOrElse(key, 0) + 1)
-      }
-      var xi = 0
-      while (xi < bucket.length) {
-        val x = bucket(xi)
-        var sum = 0L
-        var i = 0
-        while (i < p.t) {
-          val key = (i.toLong << 32) | (x.mh(i).toLong & 0xffffffffL)
-          sum += count(key) - 1
-          i += 1
-        }
-        val avg = sum.toDouble / p.t / (bucket.length - 1)
-        removeFlag(xi) = avg > (1.0 - p.eps) * lambda
-        xi += 1
-      }
-    } else {
-      val rng = new SplittableRandom(Hashing.mix64(nodeSeed ^ 0xb5caL))
-      val sHat = Sketch.bucketSketch(bucket.map(_.sketch), p.ell, rng)
-      var xi = 0
-      while (xi < bucket.length) {
-        val est = Sketch.estimate(bucket(xi).sketch, sHat, p.sketchBits)
-        removeFlag(xi) = est > (1.0 - p.eps) * lambda
-        xi += 1
-      }
+    val rng = new SplittableRandom(Hashing.mix64(nodeSeed ^ 0xb5caL))
+    val sHat = Sketch.bucketSketch(bucket.map(_.sketch), p.ell, rng)
+    var xi = 0
+    while (xi < bucket.length) {
+      val est = Sketch.estimate(bucket(xi).sketch, sHat, p.sketchBits)
+      removeFlag(xi) = est > (1.0 - p.eps) * lambda
+      xi += 1
     }
     val survivors = Vector.newBuilder[EmbeddedRec]
     // Compare each removed point against survivors and *later* removed points
     // so no pair is reported twice within this node (equivalent to
     // Algorithm 2's sequential remove-and-recurse).
-    var xi = 0
+    xi = 0
     while (xi < bucket.length) {
       if (!removeFlag(xi)) survivors += bucket(xi)
       xi += 1
@@ -133,7 +106,7 @@ object CPSJoinLocal {
     * buckets of ≥ 2 records with their seeds, members in bucket order.
     */
   def node(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
-           nodeSeed: Long, depth: Int, stats: StatsSink,
+           nodeSeed: Long, depth: Int, stats: LocalStats,
            emit: (Long, Long, Double) => Unit): scala.collection.Seq[(scala.collection.IndexedSeq[EmbeddedRec], Long)] = {
     val effective = if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) else p
     val survivors = bruteForceStep(bucket, lambda, effective, nodeSeed, stats, emit)
@@ -155,30 +128,30 @@ object CPSJoinLocal {
 
   /** The whole subtree below a node at `depth`, depth first. */
   def subtree(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
-              nodeSeed: Long, depth: Int, stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit =
+              nodeSeed: Long, depth: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
     for ((child, seed) <- node(bucket, lambda, p, nodeSeed, depth, stats, emit))
       subtree(child, lambda, p, seed, depth + 1, stats, emit)
 
   /** One repetition of CPSJoin (one Chosen Path tree). */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, rep: Int,
-             stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit =
+             stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
     subtree(recs, lambda, p, rootSeed(p, rep), 0, stats, emit)
 
   /** Repetitions `reps` (tree roots); returns deduplicated result pairs
     * (id1 < id2) with their exact Jaccard similarity.
     */
   def run(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, reps: Seq[Int],
-          stats: StatsSink): Map[(Long, Long), Double] =
+          stats: LocalStats): Map[(Long, Long), Double] =
     Verification.dedup(emit => reps.foreach(r => runRep(recs, lambda, p, r, stats, emit)))
 
   /** Full self-join: `p.reps` repetitions, output deduplicated. */
   def selfJoin(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,
-               p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] =
+               p: CPSParams = CPSParams(), stats: LocalStats = new LocalStats): Map[(Long, Long), Double] =
     run(recs, lambda, p, 0 until p.reps, stats)
 
   /** Convenience: embed raw records then self-join. */
   def selfJoinRaw(recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
-                  p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
+                  p: CPSParams = CPSParams(), stats: LocalStats = new LocalStats): Map[(Long, Long), Double] = {
     val hasher = new MinHasher(p.t, p.ell, p.seed)
     selfJoin(EmbeddedRec.embedAll(recs, hasher).toIndexedSeq, lambda, p, stats)
   }

@@ -22,7 +22,7 @@ final class CPSJoinSpark(
     payload: Broadcast[IndexedSeq[EmbeddedRec]],
     lambda: Double,
     p: CPSParams,
-    stats: StatsSink = NullStats,
+    stats: LocalStats = new LocalStats,
 ) {
 
   /** Run repetitions `reps` (tree roots) and return deduplicated result
@@ -31,12 +31,11 @@ final class CPSJoinSpark(
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
     val lam = lambda
     val params = p
-    val sink = stats
     Verification.dedup { emit =>
       val children = reps.flatMap(r =>
-        CPSJoinLocal.node(payload.value, lam, params, CPSJoinLocal.rootSeed(params, r), 0, sink, emit))
-      CPSJoinSpark.finishBuckets(spark, payload, children, emit) { (bucket, seed, emitTask) =>
-        CPSJoinLocal.subtree(bucket, lam, params, seed, 1, sink, emitTask)
+        CPSJoinLocal.node(payload.value, lam, params, CPSJoinLocal.rootSeed(params, r), 0, stats, emit))
+      CPSJoinSpark.finishBuckets(spark, payload, children, stats, emit) { (bucket, seed, taskStats, emitTask) =>
+        CPSJoinLocal.subtree(bucket, lam, params, seed, 1, taskStats, emitTask)
       }
     }
   }
@@ -56,35 +55,40 @@ object CPSJoinSpark {
 
   /** Finishes `buckets` of payload records in one Spark job and passes the
     * pairs their tasks emit to `emit` on the driver. A bucket ships as the
-    * payload indices of its members, found by identity (ids need not be
-    * unique), with its `S` (a node seed, say); `min(buckets,
-    * defaultParallelism)` slices of them run `finish` against the broadcast
-    * payload. One call is one job and no shuffle. Shared by CPSJoin and
-    * MinHash LSH.
+    * payload indices of its members, found by identity, with its `S` (a node
+    * seed, say); `min(buckets, defaultParallelism)` slices of them run
+    * `finish` against the broadcast payload. Each task counts into its own
+    * `LocalStats` and returns its three counts with its pairs, and the driver
+    * adds them to `stats`; so a re-run task is counted once, like its pairs.
+    * One call is one job and no shuffle. Shared by CPSJoin and MinHash LSH.
     */
   def finishBuckets[S](spark: SparkSession, payload: Broadcast[IndexedSeq[EmbeddedRec]],
                        buckets: Seq[(scala.collection.IndexedSeq[EmbeddedRec], S)],
-                       emit: (Long, Long, Double) => Unit)(
-      finish: (scala.collection.IndexedSeq[EmbeddedRec], S, (Long, Long, Double) => Unit) => Unit): Unit = {
+                       stats: LocalStats, emit: (Long, Long, Double) => Unit)(
+      finish: (scala.collection.IndexedSeq[EmbeddedRec], S, LocalStats, (Long, Long, Double) => Unit) => Unit): Unit = {
     val recs = payload.value
     val index = new java.util.IdentityHashMap[EmbeddedRec, Int]
     for (i <- recs.indices) index.put(recs(i), i)
     val shipped = buckets.map { case (members, s) => (members.map(index.get).toArray, s) }
     val sc = spark.sparkContext
     val slices = math.max(1, math.min(shipped.length, sc.defaultParallelism))
-    val pairs = sc.parallelize(shipped, slices).mapPartitions { it =>
+    val parts = sc.parallelize(shipped, slices).mapPartitions { it =>
       val all = payload.value
+      val taskStats = new LocalStats
       val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
       val emitTask = (a: Long, b: Long, s: Double) => { out += ((a, b, s)); () }
-      for ((members, s) <- it) finish(members.map(all), s, emitTask)
-      out.iterator
+      for ((members, s) <- it) finish(members.map(all), s, taskStats, emitTask)
+      Iterator.single((out, taskStats.pre, taskStats.cand, taskStats.res))
     }.collect()
-    for ((a, b, s) <- pairs) emit(a, b, s)
+    for ((pairs, pre, cand, res) <- parts) {
+      stats.pre += pre; stats.cand += cand; stats.res += res
+      for ((a, b, s) <- pairs) emit(a, b, s)
+    }
   }
 
   /** Convenience one-shot self-join with `p.reps` repetitions. */
   def selfJoin(spark: SparkSession, recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
-               p: CPSParams = CPSParams(), stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
+               p: CPSParams = CPSParams(), stats: LocalStats = new LocalStats): Map[(Long, Long), Double] = {
     val bc = broadcastPayload(spark, recs, p)
     try new CPSJoinSpark(spark, bc, lambda, p, stats).run(0 until p.reps)
     finally bc.destroy()

@@ -80,9 +80,11 @@ final class MinHasher(val t: Int, val sketchWords: Int, seed: Long) extends Seri
 final case class EmbeddedRec(id: Long, tokens: Array[Int], mh: Array[Int], sketch: Array[Long])
 
 object EmbeddedRec {
-  def embedAll(recs: scala.collection.IndexedSeq[SetRec], hasher: MinHasher): Array[EmbeddedRec] =
+  def embedAll(recs: scala.collection.IndexedSeq[SetRec], hasher: MinHasher): Array[EmbeddedRec] = {
+    SetRec.requireDistinctIds(recs)
     recs.iterator.map { r =>
       val (mh, sk) = hasher.embed(r.tokens)
       EmbeddedRec(r.id, r.tokens, mh, sk)
     }.toArray
+  }
 }

@@ -32,55 +32,22 @@ final case class CPSParams(
 
 /** Candidate-pair accounting with Table IV semantics.
   *
-  * - preCandidates: pairs considered by BRUTEFORCEPAIRS / BRUTEFORCEPOINT
-  *   (CPSJoin) or inverted-list entries touched after the size check
+  * - pre: pairs considered by BRUTEFORCEPAIRS / BRUTEFORCEPOINT (CPSJoin,
+  *   MinHash LSH) or inverted-list entries touched after the size check
   *   (AllPairs).
-  * - candidates: pairs passed to exact similarity verification (after size
-  *   and sketch checks for CPSJoin; after dedup for AllPairs).
-  * - results: verified pairs reported (possibly with duplicates for CPSJoin;
+  * - cand: pairs passed to exact similarity verification (after size and
+  *   sketch checks for CPSJoin; after dedup for AllPairs).
+  * - res: verified pairs reported (possibly with duplicates for CPSJoin;
   *   the join output itself is deduplicated, the counter is raw as in §VI-A4).
+  *
+  * Not `Serializable` on purpose: a Spark task counts into its own instance
+  * and returns the three counts with its pairs, so a closure that captures a
+  * driver-side counter fails to serialize instead of counting into a copy
+  * that is thrown away.
   */
-trait StatsSink extends Serializable {
-  def preCandidates(n: Long): Unit
-  def candidates(n: Long): Unit
-  def results(n: Long): Unit
-}
-
-/** Driver-local counters. */
-final class LocalStats extends StatsSink {
+final class LocalStats {
   var pre: Long = 0L
   var cand: Long = 0L
   var res: Long = 0L
-  override def preCandidates(n: Long): Unit = pre += n
-  override def candidates(n: Long): Unit = cand += n
-  override def results(n: Long): Unit = res += n
   override def toString = s"pre=$pre cand=$cand res=$res"
-}
-
-/** Spark-side counters backed by accumulators. */
-final class AccumStats(
-    pre: org.apache.spark.util.LongAccumulator,
-    cand: org.apache.spark.util.LongAccumulator,
-    res: org.apache.spark.util.LongAccumulator,
-) extends StatsSink {
-  override def preCandidates(n: Long): Unit = pre.add(n)
-  override def candidates(n: Long): Unit = cand.add(n)
-  override def results(n: Long): Unit = res.add(n)
-}
-
-object AccumStats {
-  /** Register a fresh accumulator triple on the session. */
-  def create(spark: org.apache.spark.sql.SparkSession, name: String): (AccumStats, () => (Long, Long, Long)) = {
-    val p = spark.sparkContext.longAccumulator(s"$name.preCandidates")
-    val c = spark.sparkContext.longAccumulator(s"$name.candidates")
-    val r = spark.sparkContext.longAccumulator(s"$name.results")
-    (new AccumStats(p, c, r), () => (p.value, c.value, r.value))
-  }
-}
-
-/** A "no-op" sink for runs where counting is not needed. */
-object NullStats extends StatsSink {
-  override def preCandidates(n: Long): Unit = ()
-  override def candidates(n: Long): Unit = ()
-  override def results(n: Long): Unit = ()
 }

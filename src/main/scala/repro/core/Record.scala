@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** A record (set) in a similarity-join collection.
   *
   * @param id     unique record id
@@ -13,6 +15,14 @@ object SetRec {
   /** Build a record from possibly unsorted / duplicated tokens. */
   def normalized(id: Long, tokens: Iterable[Int]): SetRec =
     SetRec(id, tokens.toArray.distinct.sorted)
+
+  /** Rejects an input in which two records share an id, which a self-join
+    * would otherwise report as the pair (id, id). O(n).
+    */
+  def requireDistinctIds(recs: Iterable[SetRec]): Unit = {
+    val seen = mutable.HashSet.empty[Long]
+    for (r <- recs) require(seen.add(r.id), s"duplicate record id ${r.id}")
+  }
 }
 
 /** Exact set-overlap primitives on sorted token arrays. */

@@ -25,18 +25,18 @@ object Verification {
     * counted as candidates; verified pairs as results.
     */
   def verify(x: EmbeddedRec, y: EmbeddedRec, lambda: Double, lambdaHat: Double,
-             sketchBits: Int, stats: StatsSink): Double = {
-    stats.preCandidates(1)
+             sketchBits: Int, stats: LocalStats): Double = {
+    stats.pre += 1
     if (!sizeCompatible(x.tokens.length, y.tokens.length, lambda)) return Double.NaN
     if (sketchBits > 0 && Sketch.estimate(x.sketch, y.sketch, sketchBits) < lambdaHat) return Double.NaN
-    stats.candidates(1)
+    stats.cand += 1
     val sim = Jaccard.similarity(x.tokens, y.tokens)
-    if (sim >= lambda) { stats.results(1); sim } else Double.NaN
+    if (sim >= lambda) { stats.res += 1; sim } else Double.NaN
   }
 
   /** Brute-force all pairs within a bucket (BRUTEFORCEPAIRS). */
   def bruteForcePairs(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, lambdaHat: Double,
-                      sketchBits: Int, stats: StatsSink,
+                      sketchBits: Int, stats: LocalStats,
                       emit: (Long, Long, Double) => Unit): Unit = {
     var i = 0
     while (i < bucket.length) {
@@ -52,7 +52,7 @@ object Verification {
 
   /** Brute-force one point against a bucket (BRUTEFORCEPOINT). */
   def bruteForcePoint(x: EmbeddedRec, bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,
-                      lambdaHat: Double, sketchBits: Int, stats: StatsSink,
+                      lambdaHat: Double, sketchBits: Int, stats: LocalStats,
                       emit: (Long, Long, Double) => Unit): Unit = {
     var j = 0
     while (j < bucket.length) {

@@ -1,11 +1,11 @@
 package repro
 
-import repro.baselines.{MinHashLSHLocal, MinHashLSHSpark}
+import repro.baselines.{AllPairsLocal, AllPairsSpark, MinHashLSHLocal, MinHashLSHSpark}
 import repro.core._
 
 /** The approximate joins take λ ∈ (0, 1), as the exact AllPairs joins do,
-  * and every entry point that embeds raw records rejects a record with no
-  * tokens.
+  * every entry point that embeds raw records rejects a record with no
+  * tokens, and every raw entry point rejects two records with the same id.
   */
 class ThresholdContractSpec extends SparkSpec {
 
@@ -29,6 +29,32 @@ class ThresholdContractSpec extends SparkSpec {
       }
     for ((name, join) <- approximateJoins(twins, 0.9))
       assert(join() == Map((0L, 1L) -> 1.0), name)
+  }
+
+  test("the exact AllPairs joins reject λ outside (0, 1) and accept λ inside") {
+    def exactJoins(lambda: Double): Seq[(String, () => Map[(Long, Long), Double])] = Seq(
+      "AllPairsLocal" -> (() => AllPairsLocal.selfJoin(twins, lambda)),
+      "AllPairsSpark" -> (() => AllPairsSpark.selfJoinCollect(spark, twins, lambda)._1))
+    for (lambda <- Seq(0.0, 1.0, 1.5, -0.5, Double.NaN); (name, join) <- exactJoins(lambda))
+      withClue(s"$name at λ=$lambda: ") { intercept[IllegalArgumentException](join()) }
+    for ((name, join) <- exactJoins(0.9))
+      assert(join() == Map((0L, 1L) -> 1.0), name)
+  }
+
+  test("every raw entry point rejects an input in which two records share an id") {
+    val dups = IndexedSeq(SetRec(7, Array(1, 2, 3)), SetRec(7, Array(1, 2, 3)), SetRec(8, Array(1, 2, 3, 4)))
+    val rawJoins: Seq[(String, () => Any)] = Seq(
+      "CPSJoinLocal.selfJoinRaw" -> (() => CPSJoinLocal.selfJoinRaw(dups, 0.5, p)),
+      "CPSJoinSpark.selfJoin" -> (() => CPSJoinSpark.selfJoin(spark, dups, 0.5, p)),
+      "MinHashLSHLocal.selfJoin" -> (() => MinHashLSHLocal.selfJoin(
+        EmbeddedRec.embedAll(dups, new MinHasher(p.t, p.ell, p.seed)).toIndexedSeq, 0.5, 0.9, p)),
+      "MinHashLSHSpark.selfJoin" -> (() => MinHashLSHSpark.selfJoin(spark, dups, 0.5, 0.9, p)),
+      "AllPairsLocal.selfJoin" -> (() => AllPairsLocal.selfJoin(dups, 0.5)),
+      "AllPairsSpark.selfJoinCollect" -> (() => AllPairsSpark.selfJoinCollect(spark, dups, 0.5)))
+    for ((name, join) <- rawJoins)
+      withClue(s"$name: ") {
+        assert(intercept[IllegalArgumentException](join()).getMessage == "requirement failed: duplicate record id 7")
+      }
   }
 
   test("every raw entry point rejects an input that holds an empty set") {

@@ -79,7 +79,7 @@ class MinHashLSHLocalSpec extends AnyFunSuite {
   test("empty and trivial inputs") {
     assert(MinHashLSHLocal.selfJoin(IndexedSeq.empty, 0.5, 0.9, p).isEmpty)
     val dup = emb(Seq(SetRec(0, Array(1, 2, 3)), SetRec(1, Array(1, 2, 3))))
-    val res = MinHashLSHLocal.run(dup, 0.9, 2, 0 until MinHashLSHLocal.repetitionsFor(0.9, 0.9, 2), p, NullStats)
+    val res = MinHashLSHLocal.run(dup, 0.9, 2, 0 until MinHashLSHLocal.repetitionsFor(0.9, 0.9, 2), p, new LocalStats)
     assert(res.contains((0L, 1L)))
   }
 }

@@ -17,12 +17,12 @@ class MinHashLSHSparkSpec extends SparkSpec {
     try {
       val localStats = new LocalStats
       val local = MinHashLSHLocal.run(bc.value, lambda, k, reps, p, localStats)
-      val (sparkStats, read) = AccumStats.create(spark, "mh-equal")
+      val sparkStats = new LocalStats
       val dist = new MinHashLSHSpark(spark, bc, lambda, k, p, sparkStats).run(reps)
       val samePairs = dist == local
       assert(samePairs,
         s"missing=${local.keySet.diff(dist.keySet).take(3)} extra=${dist.keySet.diff(local.keySet).take(3)}")
-      assert(read() == ((localStats.pre, localStats.cand, localStats.res)))
+      assert((sparkStats.pre, sparkStats.cand, sparkStats.res) == ((localStats.pre, localStats.cand, localStats.res)))
     } finally bc.destroy()
   }
 

@@ -3,10 +3,26 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.data.Datasets
+import scala.collection.mutable
 
 class CPSJoinLocalSpec extends AnyFunSuite {
 
   private val p = CPSParams(t = 64, ell = 4, limit = 40, eps = 0.1, delta = 0.05, reps = 10, seed = 99)
+
+  /** Algorithm 2's exact average-similarity rule on the embedded records, the
+    * reference for the sketch estimate `bruteForceStep` uses: count[(i, v)]
+    * is the number of bucket members whose i-th minhash equals v, and a
+    * record is removed when its average similarity to the other members,
+    * estimated over the t coordinates, exceeds (1 − ε)λ.
+    */
+  private def exactAvgRemovals(bucket: IndexedSeq[EmbeddedRec], lambda: Double, q: CPSParams): IndexedSeq[Boolean] = {
+    val count = mutable.HashMap.empty[(Int, Int), Int]
+    for (x <- bucket; i <- 0 until q.t) count((i, x.mh(i))) = count.getOrElse((i, x.mh(i)), 0) + 1
+    bucket.map { x =>
+      val sum = (0 until q.t).map(i => count((i, x.mh(i))) - 1L).sum
+      sum.toDouble / q.t / (bucket.length - 1) > (1.0 - q.eps) * lambda
+    }
+  }
 
   test("selfJoin on empty and single-record inputs") {
     assert(CPSJoinLocal.selfJoinRaw(IndexedSeq.empty, 0.5, p).isEmpty)
@@ -77,11 +93,12 @@ class CPSJoinLocalSpec extends AnyFunSuite {
     val hasher = new MinHasher(64, 4, seed = 3)
     val bucket = EmbeddedRec.embedAll((clones :+ far).toIndexedSeq, hasher).toIndexedSeq
     val pp = p.copy(limit = 10, eps = 0.0)
-    val survivors = CPSJoinLocal.bruteForceStep(bucket, 0.5, pp, nodeSeed = 5L,
-      NullStats, (_, _, _) => (), useExactAvg = true)
-    val survivorIds = survivors.map(_.id).toSet
+    val removed = exactAvgRemovals(bucket, 0.5, pp)
+    val survivorIds = bucket.indices.filterNot(removed).map(bucket(_).id)
     assert(!survivorIds.exists(_ < 60L), "every clone has avg similarity > (1-ε)λ and must be removed")
     assert(survivorIds.contains(999L), "the far point must continue in the recursion")
+    val sketchSurvivors = CPSJoinLocal.bruteForceStep(bucket, 0.5, pp, nodeSeed = 5L, new LocalStats, (_, _, _) => ())
+    assert(sketchSurvivors.map(_.id) == survivorIds, "the sketch rule removes the same points")
   }
 
   test("brute-forced points report their true pairs exactly once") {
@@ -91,10 +108,27 @@ class CPSJoinLocalSpec extends AnyFunSuite {
     val bucket = EmbeddedRec.embedAll(clones.toIndexedSeq, hasher).toIndexedSeq
     val pp = p.copy(limit = 10, eps = 0.0)
     val emitted = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
-    CPSJoinLocal.bruteForceStep(bucket, 0.5, pp, nodeSeed = 5L, NullStats,
-      (a, b, _) => emitted += ((math.min(a, b), math.max(a, b))), useExactAvg = true)
+    CPSJoinLocal.bruteForceStep(bucket, 0.5, pp, nodeSeed = 5L, new LocalStats,
+      (a, b, _) => emitted += ((math.min(a, b), math.max(a, b))))
     assert(emitted.size == emitted.distinct.size, "no duplicate pair reports within a node")
     assert(emitted.toSet == TestUtil.bruteTruth(clones, 0.5).keySet)
+  }
+
+  test("a root bucket above limit whose members all match finishes by the average-similarity rule") {
+    // 300 identical sets: every estimate against ŝ is 1 > (1 − ε)λ, so the
+    // root removes every point and has no survivors to split, well before
+    // the depth cap.
+    val recs = (0 until 300).map(i => SetRec(i.toLong, (0 until 20).toArray))
+    val q = CPSParams()
+    assert(recs.length > q.limit && q.maxDepth == 64)
+    val bucket = EmbeddedRec.embedAll(recs, new MinHasher(q.t, q.ell, q.seed)).toIndexedSeq
+    val stats = new LocalStats
+    val emitted = mutable.ArrayBuffer.empty[(Long, Long)]
+    val children = CPSJoinLocal.node(bucket, 0.5, q, CPSJoinLocal.rootSeed(q, 0), 0, stats,
+      (a, b, _) => emitted += ((math.min(a, b), math.max(a, b))))
+    assert(children.isEmpty)
+    assert(emitted.size == 300 * 299 / 2 && emitted.distinct.size == emitted.size)
+    assert(stats.pre == 300L * 299 / 2)
   }
 
   test("bruteForceStep within limit reports the exact bucket join") {
@@ -102,7 +136,7 @@ class CPSJoinLocalSpec extends AnyFunSuite {
     val hasher = new MinHasher(64, 4, seed = 3)
     val bucket = EmbeddedRec.embedAll(recs, hasher).toIndexedSeq
     val emitted = scala.collection.mutable.HashSet.empty[(Long, Long)]
-    val surv = CPSJoinLocal.bruteForceStep(bucket, 0.5, p.copy(limit = 30), 1L, NullStats,
+    val surv = CPSJoinLocal.bruteForceStep(bucket, 0.5, p.copy(limit = 30), 1L, new LocalStats,
       (a, b, _) => emitted += ((math.min(a, b), math.max(a, b))))
     assert(surv.isEmpty)
     val strong = TestUtil.bruteTruth(recs, 0.65).keySet

@@ -14,12 +14,12 @@ class CPSJoinSparkSpec extends SparkSpec {
   private def assertEnginesEqual(recs: IndexedSeq[SetRec], lambda: Double, q: CPSParams = p): Unit = {
     val localStats = new LocalStats
     val local = CPSJoinLocal.selfJoinRaw(recs, lambda, q, localStats)
-    val (sparkStats, read) = AccumStats.create(spark, "cps-equal")
+    val sparkStats = new LocalStats
     val dist = CPSJoinSpark.selfJoin(spark, recs, lambda, q, sparkStats)
     val samePairs = dist == local
     assert(samePairs,
       s"missing=${local.keySet.diff(dist.keySet).take(3)} extra=${dist.keySet.diff(local.keySet).take(3)}")
-    assert(read() == ((localStats.pre, localStats.cand, localStats.res)))
+    assert((sparkStats.pre, sparkStats.cand, sparkStats.res) == ((localStats.pre, localStats.cand, localStats.res)))
   }
 
   test("distributed CPSJoin equals the local implementation exactly (same seeds)") {
@@ -64,12 +64,16 @@ class CPSJoinSparkSpec extends SparkSpec {
     assert(TestUtil.recall(res.keySet, truth.keySet) >= 0.8)
   }
 
-  test("accumulator-backed stats are populated") {
+  test("stats counted in Spark tasks are populated") {
     val recs = TestUtil.randomRecords(300, 15, 80, seed = 94, spread = 4)
-    val (stats, read) = AccumStats.create(spark, "cps-test")
+    val stats = new LocalStats
     CPSJoinSpark.selfJoin(spark, recs, 0.5, p, stats)
-    val (pre, cand, res) = read()
-    assert(pre > 0 && pre >= cand && cand >= res)
+    assert(stats.pre > 0 && stats.pre >= stats.cand && stats.cand >= stats.res)
+  }
+
+  test("LocalStats does not serialize, so no Spark closure can carry a driver-side counter") {
+    val out = new java.io.ObjectOutputStream(new java.io.ByteArrayOutputStream)
+    intercept[java.io.NotSerializableException](out.writeObject(new LocalStats))
   }
 
   test("incremental repetitions: running reps in two batches equals one batch") {

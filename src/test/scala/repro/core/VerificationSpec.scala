@@ -57,7 +57,7 @@ class VerificationSpec extends AnyFunSuite {
   test("sketchBits = 0 disables the sketch filter") {
     val (x, y) = TestUtil.pairWithJaccard(10, 14)
     val e = emb(Seq(x, y))
-    val s = Verification.verify(e(0), e(1), 0.5, 0.9, 0, NullStats)
+    val s = Verification.verify(e(0), e(1), 0.5, 0.9, 0, new LocalStats)
     assert(!s.isNaN)
   }
 
@@ -65,7 +65,7 @@ class VerificationSpec extends AnyFunSuite {
     val recs = TestUtil.randomRecords(60, 12, 40, seed = 5)
     val truth = TestUtil.bruteTruth(recs, 0.5)
     val found = scala.collection.mutable.HashMap.empty[(Long, Long), Double]
-    Verification.bruteForcePairs(emb(recs), 0.5, 0.0, 0, NullStats,
+    Verification.bruteForcePairs(emb(recs), 0.5, 0.0, 0, new LocalStats,
       (a, b, s) => found.update((math.min(a, b), math.max(a, b)), s))
     assert(found.keySet == truth.keySet)
     TestUtil.assertPerfectPrecision(found.toMap, recs, 0.5)

@@ -68,9 +68,9 @@ object MinHashLSHLocal {
   /** One repetition: brute-force each of its buckets. */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, k: Int, rep: Int,
              p: CPSParams, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
-    val lh = Sketch.lambdaHat(lambda, p.sketchBits, p.delta)
+    val maxD = Verification.maxDistance(lambda, p)
     for (bucket <- buckets(recs, k, rep, p))
-      Verification.bruteForcePairs(bucket, lambda, lh, p.sketchBits, stats, emit)
+      Verification.bruteForcePairs(bucket, lambda, maxD, stats, emit)
   }
 
   /** Repetitions `reps` at key length k; returns deduplicated verified pairs. */

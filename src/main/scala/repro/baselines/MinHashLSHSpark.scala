@@ -28,11 +28,11 @@ final class MinHashLSHSpark(
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
     val lam = lambda
     val params = p
-    val lh = Sketch.lambdaHat(lam, params.sketchBits, params.delta)
+    val maxD = Verification.maxDistance(lam, params)
     val buckets = for (r <- reps; b <- MinHashLSHLocal.buckets(payload.value, k, r, params)) yield (b, ())
     Verification.dedup { emit =>
       CPSJoinSpark.finishBuckets(spark, payload, buckets, stats, emit) { (bucket, _, taskStats, emitTask) =>
-        Verification.bruteForcePairs(bucket, lam, lh, params.sketchBits, taskStats, emitTask)
+        Verification.bruteForcePairs(bucket, lam, maxD, taskStats, emitTask)
       }
     }
   }

@@ -39,7 +39,9 @@ object Harness {
 
   /** Repeat an approximate method in batches until recall ≥ target.
     * `runBatch` executes the given repetition indices and returns their
-    * (deduplicated within the batch) result pairs.
+    * (deduplicated within the batch) result pairs. The first batch always
+    * runs, so a join whose truth set is empty (recall 1) still reports its
+    * time and counters.
     */
   def repeatToRecall(truth: Set[(Long, Long)], target: Double, batches: Seq[Seq[Int]],
                      runBatch: Seq[Int] => Map[(Long, Long), Double]): AlgoRun = {
@@ -48,7 +50,7 @@ object Harness {
     var reps = 0
     var recall = if (truth.isEmpty) 1.0 else 0.0
     val it = batches.iterator
-    while (recall < target && it.hasNext) {
+    while (it.hasNext && (reps == 0 || recall < target)) {
       val batch = it.next()
       val (res, s) = time(runBatch(batch))
       secs += s

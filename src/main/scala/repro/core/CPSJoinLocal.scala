@@ -2,6 +2,7 @@ package repro.core
 
 import repro.util.Hashing
 import java.util.SplittableRandom
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** CPSJoin — faithful single-node implementation of Algorithm 1 (CPSJOIN)
@@ -11,14 +12,18 @@ import scala.collection.mutable
   *  - the splitting step samples an expected 1/λ coordinates from [t] (each
   *    coordinate with probability 1/(λt)) and buckets records on their
   *    precomputed MinHash value at those coordinates, so placing a record in
-  *    child buckets costs O(1) per child instead of O(|x|);
+  *    child buckets costs O(1) per child instead of O(|x|); the buckets come
+  *    from sorting one packed long per record, not from a boxed hash map;
   *  - the BRUTEFORCE step estimates each record's average similarity to its
   *    bucket in O(ℓ) words using a sampled bucket sketch ŝ (instead of the
   *    O(t) exact token-count rule), and runs a single pass per node, calling
   *    BRUTEFORCEPOINT on every record that passes the check;
   *  - candidate pairs are filtered through the 1-bit minwise sketch check at
-  *    threshold λ̂ (false-negative probability δ) before exact verification;
-  *  - duplicates across buckets/repetitions are removed at the end.
+  *    threshold λ̂ (false-negative probability δ) before exact verification,
+  *    tested as an integer bound on the Hamming distance that a join derives
+  *    once (`Verification.maxDistance`) and passes down as `maxD`;
+  *  - duplicates across buckets/repetitions are removed at the end, in
+  *    `Verification.dedup`'s primitive pair table.
   *
   * `node` is the only implementation of a tree node. The Spark engine
   * (`CPSJoinSpark`) runs each repetition's root `node` on the driver and
@@ -30,52 +35,34 @@ object CPSJoinLocal {
     * emits verified pairs through `emit`, counts them into `stats` and
     * returns the surviving records (empty if the bucket was fully
     * brute-forced). Above `p.limit`, a record is removed when its sketch
-    * estimate against the bucket sketch ŝ exceeds (1 − ε)λ (§V-A).
+    * estimate against the bucket sketch ŝ exceeds (1 − ε)λ (§V-A). This form
+    * derives the sketch bound itself; `node` passes the join's.
     */
   def bruteForceStep(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
                      nodeSeed: Long, stats: LocalStats,
+                     emit: (Long, Long, Double) => Unit): scala.collection.IndexedSeq[EmbeddedRec] =
+    bruteForceStep(bucket, lambda, p, Verification.maxDistance(lambda, p), nodeSeed, stats, emit)
+
+  /** `bruteForceStep` with the join's sketch bound `maxD` (`Verification.maxDistance`). */
+  def bruteForceStep(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, maxD: Int,
+                     nodeSeed: Long, stats: LocalStats,
                      emit: (Long, Long, Double) => Unit): scala.collection.IndexedSeq[EmbeddedRec] = {
-    val lh = Sketch.lambdaHat(lambda, p.sketchBits, p.delta)
     if (bucket.length <= p.limit) {
-      Verification.bruteForcePairs(bucket, lambda, lh, p.sketchBits, stats, emit)
+      Verification.bruteForcePairs(bucket, lambda, maxD, stats, emit)
       return Vector.empty
     }
-    val removeFlag = new Array[Boolean](bucket.length)
     val rng = new SplittableRandom(Hashing.mix64(nodeSeed ^ 0xb5caL))
     val sHat = Sketch.bucketSketch(bucket.map(_.sketch), p.ell, rng)
-    var xi = 0
-    while (xi < bucket.length) {
-      val est = Sketch.estimate(bucket(xi).sketch, sHat, p.sketchBits)
-      removeFlag(xi) = est > (1.0 - p.eps) * lambda
-      xi += 1
-    }
-    val survivors = Vector.newBuilder[EmbeddedRec]
+    val (removed, survivors) =
+      bucket.partition(x => Sketch.estimate(x.sketch, sHat, p.sketchBits) > (1.0 - p.eps) * lambda)
     // Compare each removed point against survivors and *later* removed points
     // so no pair is reported twice within this node (equivalent to
     // Algorithm 2's sequential remove-and-recurse).
-    xi = 0
-    while (xi < bucket.length) {
-      if (!removeFlag(xi)) survivors += bucket(xi)
-      xi += 1
+    for (ri <- removed.indices) {
+      Verification.bruteForcePoint(removed(ri), survivors, lambda, maxD, stats, emit)
+      Verification.bruteForcePoint(removed(ri), removed.drop(ri + 1), lambda, maxD, stats, emit)
     }
-    val surv = survivors.result()
-    xi = 0
-    while (xi < bucket.length) {
-      if (removeFlag(xi)) {
-        val x = bucket(xi)
-        Verification.bruteForcePoint(x, surv, lambda, lh, p.sketchBits, stats, emit)
-        var yj = xi + 1
-        while (yj < bucket.length) {
-          if (removeFlag(yj)) {
-            val s = Verification.verify(x, bucket(yj), lambda, lh, p.sketchBits, stats)
-            if (!s.isNaN) emit(math.min(x.id, bucket(yj).id), math.max(x.id, bucket(yj).id), s)
-          }
-          yj += 1
-        }
-      }
-      xi += 1
-    }
-    surv
+    survivors
   }
 
   /** Splitting coordinates for a node: each i ∈ [t] chosen independently with
@@ -102,47 +89,63 @@ object CPSJoinLocal {
 
   /** One Chosen Path tree node (the body of Algorithm 1): the BRUTEFORCE
     * step, forced to finish the bucket at depth `p.maxDepth`, then a split of
-    * the survivors on the node's sampled coordinates. Returns the child
-    * buckets of ≥ 2 records with their seeds, members in bucket order.
+    * the survivors on the node's sampled coordinates. `maxD` is the join's
+    * sketch bound, `Verification.maxDistance(lambda, p)`. Returns the child
+    * buckets of ≥ 2 records with their seeds, members in bucket order; per
+    * coordinate, the children come in ascending minhash value.
+    *
+    * The split sorts, per coordinate, one packed long per survivor, its
+    * minhash value above its index, and cuts the sorted runs into children.
     */
-  def node(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
+  def node(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, maxD: Int,
            nodeSeed: Long, depth: Int, stats: LocalStats,
            emit: (Long, Long, Double) => Unit): scala.collection.Seq[(scala.collection.IndexedSeq[EmbeddedRec], Long)] = {
     val effective = if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) else p
-    val survivors = bruteForceStep(bucket, lambda, effective, nodeSeed, stats, emit)
-    if (survivors.length < 2) return Nil
+    val survivors = bruteForceStep(bucket, lambda, effective, maxD, nodeSeed, stats, emit)
+    val n = survivors.length
+    if (n < 2) return Nil
     val out = mutable.ArrayBuffer.empty[(scala.collection.IndexedSeq[EmbeddedRec], Long)]
+    val keys = new Array[Long](n)
     for (c <- splitCoordinates(nodeSeed, p.t, lambda)) {
-      val children = mutable.HashMap.empty[Int, mutable.ArrayBuffer[EmbeddedRec]]
       var xi = 0
-      while (xi < survivors.length) {
-        val x = survivors(xi)
-        children.getOrElseUpdate(x.mh(c), mutable.ArrayBuffer.empty) += x
-        xi += 1
+      while (xi < n) { keys(xi) = (survivors(xi).mh(c).toLong << 32) | xi; xi += 1 }
+      java.util.Arrays.sort(keys)
+      var start = 0
+      while (start < n) {
+        val v = (keys(start) >> 32).toInt
+        var end = start + 1
+        while (end < n && (keys(end) >> 32).toInt == v) end += 1
+        if (end - start >= 2) {
+          val child = new Array[EmbeddedRec](end - start)
+          var k = start
+          while (k < end) { child(k - start) = survivors(keys(k).toInt); k += 1 }
+          out += ((ArraySeq.unsafeWrapArray(child), childSeed(nodeSeed, c, v)))
+        }
+        start = end
       }
-      for ((v, child) <- children if child.length >= 2)
-        out += ((child, childSeed(nodeSeed, c, v)))
     }
     out
   }
 
-  /** The whole subtree below a node at `depth`, depth first. */
-  def subtree(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
+  /** The whole subtree below a node at `depth`, depth first; `maxD` as for `node`. */
+  def subtree(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, maxD: Int,
               nodeSeed: Long, depth: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
-    for ((child, seed) <- node(bucket, lambda, p, nodeSeed, depth, stats, emit))
-      subtree(child, lambda, p, seed, depth + 1, stats, emit)
+    for ((child, seed) <- node(bucket, lambda, p, maxD, nodeSeed, depth, stats, emit))
+      subtree(child, lambda, p, maxD, seed, depth + 1, stats, emit)
 
-  /** One repetition of CPSJoin (one Chosen Path tree). */
-  def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, rep: Int,
+  /** One repetition of CPSJoin (one Chosen Path tree); `maxD` as for `node`. */
+  def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, maxD: Int, rep: Int,
              stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
-    subtree(recs, lambda, p, rootSeed(p, rep), 0, stats, emit)
+    subtree(recs, lambda, p, maxD, rootSeed(p, rep), 0, stats, emit)
 
   /** Repetitions `reps` (tree roots); returns deduplicated result pairs
     * (id1 < id2) with their exact Jaccard similarity.
     */
   def run(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, reps: Seq[Int],
-          stats: LocalStats): Map[(Long, Long), Double] =
-    Verification.dedup(emit => reps.foreach(r => runRep(recs, lambda, p, r, stats, emit)))
+          stats: LocalStats): Map[(Long, Long), Double] = {
+    val maxD = Verification.maxDistance(lambda, p)
+    Verification.dedup(emit => reps.foreach(r => runRep(recs, lambda, p, maxD, r, stats, emit)))
+  }
 
   /** Full self-join: `p.reps` repetitions, output deduplicated. */
   def selfJoin(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,

@@ -31,11 +31,12 @@ final class CPSJoinSpark(
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
     val lam = lambda
     val params = p
+    val maxD = Verification.maxDistance(lam, params)
     Verification.dedup { emit =>
       val children = reps.flatMap(r =>
-        CPSJoinLocal.node(payload.value, lam, params, CPSJoinLocal.rootSeed(params, r), 0, stats, emit))
+        CPSJoinLocal.node(payload.value, lam, params, maxD, CPSJoinLocal.rootSeed(params, r), 0, stats, emit))
       CPSJoinSpark.finishBuckets(spark, payload, children, stats, emit) { (bucket, seed, taskStats, emitTask) =>
-        CPSJoinLocal.subtree(bucket, lam, params, seed, 1, taskStats, emitTask)
+        CPSJoinLocal.subtree(bucket, lam, params, maxD, seed, 1, taskStats, emitTask)
       }
     }
   }

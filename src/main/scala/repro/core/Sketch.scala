@@ -20,10 +20,27 @@ object Sketch {
   }
 
   /** Estimated Jaccard similarity from two sketches of `bits` bits. */
-  def estimate(a: Array[Long], b: Array[Long], bits: Int): Double = {
-    val agree = bits - hamming(a, b)
-    math.max(0.0, 2.0 * agree / bits - 1.0)
-  }
+  def estimate(a: Array[Long], b: Array[Long], bits: Int): Double = estimate(hamming(a, b), bits)
+
+  /** Estimated Jaccard similarity of two sketches of `bits` bits that differ
+    * in `distance` bits.
+    */
+  def estimate(distance: Int, bits: Int): Double = math.max(0.0, 2.0 * (bits - distance) / bits - 1.0)
+
+  /** The sketch check in integer form: the largest Hamming distance d whose
+    * `estimate(d, bits)` is still ≥ `lambdaHat`, so that for every d ≥ 0,
+    * `d <= maxDistance` ⇔ `estimate(d, bits) >= lambdaHat` (the estimate does
+    * not grow with d). −1 if no distance passes; `Int.MaxValue` if every one
+    * does, which includes `bits = 0`, the switched-off check. O(bits): a join
+    * derives it once, next to λ̂.
+    */
+  def maxDistance(lambdaHat: Double, bits: Int): Int =
+    if (bits == 0 || lambdaHat <= 0.0) Int.MaxValue
+    else {
+      var d = -1
+      while (d < bits && estimate(d + 1, bits) >= lambdaHat) d += 1
+      d
+    }
 
   /** Sketch threshold λ̂ < λ such that a true-positive pair (J ≥ λ) fails the
     * sketch check with probability < δ (paper §V-A2, normal approximation to

@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import repro.util.Hashing
 
 /** Candidate-pair verification shared by CPSJoin, MinHash LSH and the
   * brute-force subroutines (paper §V-A2/4).
@@ -9,6 +9,13 @@ import scala.collection.mutable
   * J ≥ λ is λ·|x| ≤ |y| ≤ |x|/λ), then the 1-bit minwise sketch check
   * (estimate ≥ λ̂), and only then the exact overlap verification — the same
   * staged filter as the paper's implementation.
+  *
+  * `verify` states the filter on one pair in the paper's terms. The
+  * brute-force kernels run the same filter unboxed and report the same pairs,
+  * similarities and counters: per row record they hoist its size range and
+  * sketch, and they test the sketch as an integer bound on the Hamming
+  * distance (`Sketch.maxDistance`, derived once per join by `maxDistance`).
+  * `dedup` collects the emitted pairs in a table over primitive arrays.
   */
 object Verification {
 
@@ -19,10 +26,31 @@ object Verification {
     lo >= lambda * hi
   }
 
+  /** The smallest size y with `sizeCompatible(s, y, λ)`, for 0 < λ < 1. */
+  private[core] def minCompatibleSize(s: Int, lambda: Double): Int = math.ceil(lambda * s).toInt
+
+  /** The largest size y with `sizeCompatible(s, y, λ)`, for 0 < λ < 1. So
+    * `sizeCompatible(s, y, λ)` ⇔ min ≤ y ≤ max, with the same rounding.
+    */
+  private[core] def maxCompatibleSize(s: Int, lambda: Double): Int = {
+    var y = math.min(math.floor(s / lambda), Int.MaxValue - 1.0).toInt
+    while (y < Int.MaxValue - 1 && s >= lambda * (y + 1)) y += 1
+    while (s < lambda * y) y -= 1
+    y
+  }
+
+  /** The sketch bound of a join at threshold λ: `Sketch.maxDistance` of λ̂.
+    * Every CPSJoin and MinHash LSH join derives it once, and so rejects a λ
+    * outside (0, 1) through `Sketch.lambdaHat`.
+    */
+  def maxDistance(lambda: Double, p: CPSParams): Int =
+    Sketch.maxDistance(Sketch.lambdaHat(lambda, p.sketchBits, p.delta), p.sketchBits)
+
   /** Verify one candidate pair end-to-end. Returns the exact similarity if
     * the pair is a result (J ≥ λ), NaN otherwise. Updates `stats`: the pair
     * is counted as a pre-candidate; pairs passing size+sketch checks are
-    * counted as candidates; verified pairs as results.
+    * counted as candidates; verified pairs as results. `sketchBits = 0`
+    * switches the sketch check off.
     */
   def verify(x: EmbeddedRec, y: EmbeddedRec, lambda: Double, lambdaHat: Double,
              sketchBits: Int, stats: LocalStats): Double = {
@@ -34,44 +62,137 @@ object Verification {
     if (sim >= lambda) { stats.res += 1; sim } else Double.NaN
   }
 
-  /** Brute-force all pairs within a bucket (BRUTEFORCEPAIRS). */
-  def bruteForcePairs(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, lambdaHat: Double,
-                      sketchBits: Int, stats: LocalStats,
-                      emit: (Long, Long, Double) => Unit): Unit = {
+  /** Brute-force all pairs within a bucket (BRUTEFORCEPAIRS), with the
+    * sketch bound `maxD` of `maxDistance` (`Int.MaxValue`: no sketch check).
+    */
+  def bruteForcePairs(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, maxD: Int,
+                      stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+    val b = bucket.toArray
+    val n = b.length
+    var cand = 0L
+    var res = 0L
     var i = 0
-    while (i < bucket.length) {
+    while (i < n) {
+      val x = b(i)
+      val xTokens = x.tokens
+      val xSketch = x.sketch
+      val lo = minCompatibleSize(xTokens.length, lambda)
+      val hi = maxCompatibleSize(xTokens.length, lambda)
       var j = i + 1
-      while (j < bucket.length) {
-        val s = verify(bucket(i), bucket(j), lambda, lambdaHat, sketchBits, stats)
-        if (!s.isNaN) emit(bucket(i).id, bucket(j).id, s)
+      while (j < n) {
+        val y = b(j)
+        val sy = y.tokens.length
+        if (sy >= lo && sy <= hi && Sketch.hamming(xSketch, y.sketch) <= maxD) {
+          cand += 1
+          val sim = Jaccard.similarity(xTokens, y.tokens)
+          if (sim >= lambda) { res += 1; emit(x.id, y.id, sim) }
+        }
         j += 1
       }
       i += 1
     }
+    stats.pre += n.toLong * (n - 1) / 2
+    stats.cand += cand
+    stats.res += res
   }
 
-  /** Brute-force one point against a bucket (BRUTEFORCEPOINT). */
+  /** Brute-force one point against a bucket (BRUTEFORCEPOINT), skipping the
+    * point itself; `maxD` as for `bruteForcePairs`.
+    */
   def bruteForcePoint(x: EmbeddedRec, bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,
-                      lambdaHat: Double, sketchBits: Int, stats: LocalStats,
-                      emit: (Long, Long, Double) => Unit): Unit = {
+                      maxD: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+    val xTokens = x.tokens
+    val xSketch = x.sketch
+    val lo = minCompatibleSize(xTokens.length, lambda)
+    val hi = maxCompatibleSize(xTokens.length, lambda)
+    var pre = 0L
+    var cand = 0L
+    var res = 0L
     var j = 0
     while (j < bucket.length) {
       val y = bucket(j)
       if (y.id != x.id) {
-        val s = verify(x, y, lambda, lambdaHat, sketchBits, stats)
-        if (!s.isNaN) emit(math.min(x.id, y.id), math.max(x.id, y.id), s)
+        pre += 1
+        val sy = y.tokens.length
+        if (sy >= lo && sy <= hi && Sketch.hamming(xSketch, y.sketch) <= maxD) {
+          cand += 1
+          val sim = Jaccard.similarity(xTokens, y.tokens)
+          if (sim >= lambda) { res += 1; emit(math.min(x.id, y.id), math.max(x.id, y.id), sim) }
+        }
       }
       j += 1
     }
+    stats.pre += pre
+    stats.cand += cand
+    stats.res += res
   }
 
   /** Runs `body` with an emit callback and returns the emitted pairs,
     * deduplicated and keyed (smaller id, larger id): the output of every
     * approximate join, whose buckets and repetitions report a pair repeatedly.
+    * A pair emitted twice keeps its last similarity.
     */
   def dedup(body: ((Long, Long, Double) => Unit) => Unit): Map[(Long, Long), Double] = {
-    val out = mutable.HashMap.empty[(Long, Long), Double]
-    body((a, b, s) => out.update((math.min(a, b), math.max(a, b)), s))
-    out.toMap
+    val table = new PairTable
+    body((a, b, s) => table.update(a, b, s))
+    table.toMap
+  }
+
+  /** Open-addressing hash table from a pair (smaller id, larger id) to its
+    * similarity over primitive arrays, with linear probing; it doubles when
+    * more than half full.
+    */
+  private final class PairTable {
+    private var mask = 63
+    private var used = new Array[Boolean](mask + 1)
+    private var lo = new Array[Long](mask + 1)
+    private var hi = new Array[Long](mask + 1)
+    private var sim = new Array[Double](mask + 1)
+    private var size = 0
+
+    private def slot(a: Long, b: Long): Int = {
+      var i = Hashing.combine(a, b).toInt & mask
+      while (used(i) && (lo(i) != a || hi(i) != b)) i = (i + 1) & mask
+      i
+    }
+
+    def update(x: Long, y: Long, s: Double): Unit = {
+      val a = math.min(x, y)
+      val b = math.max(x, y)
+      val i = slot(a, b)
+      sim(i) = s
+      if (!used(i)) {
+        used(i) = true; lo(i) = a; hi(i) = b
+        size += 1
+        if (2 * size > mask + 1) grow()
+      }
+    }
+
+    private def grow(): Unit = {
+      val (oldUsed, oldLo, oldHi, oldSim) = (used, lo, hi, sim)
+      mask = 2 * mask + 1
+      used = new Array[Boolean](mask + 1)
+      lo = new Array[Long](mask + 1)
+      hi = new Array[Long](mask + 1)
+      sim = new Array[Double](mask + 1)
+      var k = 0
+      while (k < oldUsed.length) {
+        if (oldUsed(k)) {
+          val i = slot(oldLo(k), oldHi(k))
+          used(i) = true; lo(i) = oldLo(k); hi(i) = oldHi(k); sim(i) = oldSim(k)
+        }
+        k += 1
+      }
+    }
+
+    def toMap: Map[(Long, Long), Double] = {
+      val out = Map.newBuilder[(Long, Long), Double]
+      var i = 0
+      while (i <= mask) {
+        if (used(i)) out += (((lo(i), hi(i)), sim(i)))
+        i += 1
+      }
+      out.result()
+    }
   }
 }

@@ -28,10 +28,10 @@ class HarnessSpec extends SparkSpec {
     assert(run.reps == 2 && math.abs(run.recall - 2.0 / 3) < 1e-12)
   }
 
-  test("repeatToRecall with empty truth returns recall 1 immediately") {
+  test("repeatToRecall with empty truth runs the first batch and reports recall 1") {
     var calls = 0
-    val run = Harness.repeatToRecall(Set.empty, 0.9, Seq(Seq(0)), { _ => calls += 1; Map.empty })
-    assert(run.recall == 1.0 && calls == 0)
+    val run = Harness.repeatToRecall(Set.empty, 0.9, Seq(Seq(0), Seq(1)), { _ => calls += 1; Map.empty })
+    assert(run.recall == 1.0 && calls == 1 && run.reps == 1)
   }
 
   test("measure produces a consistent Table II cell on a small dataset") {

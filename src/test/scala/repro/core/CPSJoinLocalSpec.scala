@@ -124,11 +124,49 @@ class CPSJoinLocalSpec extends AnyFunSuite {
     val bucket = EmbeddedRec.embedAll(recs, new MinHasher(q.t, q.ell, q.seed)).toIndexedSeq
     val stats = new LocalStats
     val emitted = mutable.ArrayBuffer.empty[(Long, Long)]
-    val children = CPSJoinLocal.node(bucket, 0.5, q, CPSJoinLocal.rootSeed(q, 0), 0, stats,
-      (a, b, _) => emitted += ((math.min(a, b), math.max(a, b))))
+    val children = CPSJoinLocal.node(bucket, 0.5, q, Verification.maxDistance(0.5, q), CPSJoinLocal.rootSeed(q, 0), 0,
+      stats, (a, b, _) => emitted += ((math.min(a, b), math.max(a, b))))
     assert(children.isEmpty)
     assert(emitted.size == 300 * 299 / 2 && emitted.distinct.size == emitted.size)
     assert(stats.pre == 300L * 299 / 2)
+  }
+
+  test("node's sorted split gives the children of a boxed HashMap grouping, at depths 0 and 1 on AOL ×1") {
+    val q = CPSParams()
+    val lambda = 0.5
+    val maxD = Verification.maxDistance(lambda, q)
+    val recs = Datasets.byName("AOL").gen(1.0, 7).toIndexedSeq
+    val root = EmbeddedRec.embedAll(recs, new MinHasher(q.t, q.ell, q.seed)).toIndexedSeq
+    val noEmit = (_: Long, _: Long, _: Double) => ()
+    // Reference split: group the survivors on their minhash at each sampled
+    // coordinate in a boxed HashMap; children of ≥ 2, members in bucket order.
+    def reference(bucket: IndexedSeq[EmbeddedRec], seed: Long): Set[(Seq[Long], Long)] = {
+      val survivors = CPSJoinLocal.bruteForceStep(bucket, lambda, q, seed, new LocalStats, noEmit)
+      (for {
+        c <- CPSJoinLocal.splitCoordinates(seed, q.t, lambda).toSeq
+        groups = {
+          val g = mutable.HashMap.empty[Int, mutable.ArrayBuffer[EmbeddedRec]]
+          for (x <- survivors) g.getOrElseUpdate(x.mh(c), mutable.ArrayBuffer.empty) += x
+          g
+        }
+        (v, child) <- groups if child.length >= 2
+      } yield (child.map(_.id).toSeq, CPSJoinLocal.childSeed(seed, c, v))).toSet
+    }
+    def children(bucket: IndexedSeq[EmbeddedRec], seed: Long, depth: Int) =
+      CPSJoinLocal.node(bucket, lambda, q, maxD, seed, depth, new LocalStats, noEmit)
+    var compared = 0
+    for (rep <- 0 until 2) {
+      val seed = CPSJoinLocal.rootSeed(q, rep)
+      val level1 = children(root, seed, 0)
+      assert(level1.map { case (b, s) => (b.map(_.id).toSeq, s) }.toSet == reference(root, seed), s"rep $rep root")
+      assert(level1.size == level1.map(_._2).distinct.size, "distinct child seeds")
+      for ((child, childSeed) <- level1) {
+        val level2 = children(child.toIndexedSeq, childSeed, 1)
+        assert(level2.map { case (b, s) => (b.map(_.id).toSeq, s) }.toSet == reference(child.toIndexedSeq, childSeed))
+        compared += level2.size
+      }
+    }
+    assert(compared > 0, "some depth-1 node must split")
   }
 
   test("bruteForceStep within limit reports the exact bucket join") {

@@ -76,6 +76,13 @@ class CPSJoinSparkSpec extends SparkSpec {
     intercept[java.io.NotSerializableException](out.writeObject(new LocalStats))
   }
 
+  test("a Spark job whose closure captures a LocalStats fails as not serializable") {
+    val stats = new LocalStats
+    val e = intercept[org.apache.spark.SparkException](
+      spark.sparkContext.parallelize(1 to 4, 2).foreach(_ => stats.pre += 1))
+    assert(e.getMessage.contains("Task not serializable"), e.getMessage)
+  }
+
   test("incremental repetitions: running reps in two batches equals one batch") {
     val recs = TestUtil.randomRecords(300, 15, 90, seed = 95, spread = 4)
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)

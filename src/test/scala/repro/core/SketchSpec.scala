@@ -36,6 +36,28 @@ class SketchSpec extends AnyFunSuite {
     }
   }
 
+  test("maxDistance is the sketch check in integer form: d <= maxD iff estimate >= lambdaHat") {
+    for (lambda <- (1 to 9).map(_ / 10.0); ell <- Seq(1, 8); delta <- Seq(0.01, 0.05, 0.2)) {
+      val bits = 64 * ell
+      val lh = Sketch.lambdaHat(lambda, bits, delta)
+      val maxD = Sketch.maxDistance(lh, bits)
+      val zero = new Array[Long](ell)
+      for (d <- 0 to bits) {
+        // A sketch that differs from `zero` in exactly its first d bits.
+        val y = Array.tabulate(ell)(w => if (d >= 64 * (w + 1)) -1L else if (d <= 64 * w) 0L else (1L << (d - 64 * w)) - 1)
+        assert(Sketch.hamming(zero, y) == d)
+        assert((d <= maxD) == (Sketch.estimate(zero, y, bits) >= lh), s"λ=$lambda ℓ=$ell δ=$delta d=$d maxD=$maxD")
+      }
+    }
+  }
+
+  test("maxDistance switches the check off for 0 bits and rejects every distance above an estimate of 1") {
+    assert(Sketch.maxDistance(0.9, 0) == Int.MaxValue)
+    assert(Sketch.maxDistance(0.0, 512) == Int.MaxValue)
+    assert(Sketch.maxDistance(1.01, 512) == -1)
+    assert(Sketch.maxDistance(1.0, 512) == 0)
+  }
+
   test("lambdaHat is below lambda and increases with sketch length") {
     for (lambda <- Seq(0.5, 0.7, 0.9)) {
       val l64 = Sketch.lambdaHat(lambda, 64, 0.05)

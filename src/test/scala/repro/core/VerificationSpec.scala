@@ -2,12 +2,15 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import java.util.SplittableRandom
+import scala.collection.mutable
 
 class VerificationSpec extends AnyFunSuite {
 
   private val p = CPSParams(t = 16, ell = 2, seed = 3)
   private val hasher = new MinHasher(p.t, p.ell, p.seed)
   private def emb(recs: Seq[SetRec]) = EmbeddedRec.embedAll(recs.toIndexedSeq, hasher).toIndexedSeq
+  private val noSketch = Sketch.maxDistance(0.0, 0) // sketchBits = 0: the sketch check is off
 
   test("sizeCompatible matches the necessary size condition") {
     assert(Verification.sizeCompatible(10, 10, 0.5))
@@ -65,7 +68,7 @@ class VerificationSpec extends AnyFunSuite {
     val recs = TestUtil.randomRecords(60, 12, 40, seed = 5)
     val truth = TestUtil.bruteTruth(recs, 0.5)
     val found = scala.collection.mutable.HashMap.empty[(Long, Long), Double]
-    Verification.bruteForcePairs(emb(recs), 0.5, 0.0, 0, new LocalStats,
+    Verification.bruteForcePairs(emb(recs), 0.5, noSketch, new LocalStats,
       (a, b, s) => found.update((math.min(a, b), math.max(a, b)), s))
     assert(found.keySet == truth.keySet)
     TestUtil.assertPerfectPrecision(found.toMap, recs, 0.5)
@@ -74,7 +77,7 @@ class VerificationSpec extends AnyFunSuite {
   test("bruteForcePairs counts n(n-1)/2 pre-candidates") {
     val recs = TestUtil.randomRecords(20, 8, 30, seed = 6)
     val stats = new LocalStats
-    Verification.bruteForcePairs(emb(recs), 0.5, 0.0, 0, stats, (_, _, _) => ())
+    Verification.bruteForcePairs(emb(recs), 0.5, noSketch, stats, (_, _, _) => ())
     assert(stats.pre == 20 * 19 / 2)
   }
 
@@ -83,10 +86,91 @@ class VerificationSpec extends AnyFunSuite {
     val e = emb(recs)
     val stats = new LocalStats
     val found = scala.collection.mutable.HashSet.empty[(Long, Long)]
-    Verification.bruteForcePoint(e(0), e, 0.5, 0.0, 0, stats,
+    Verification.bruteForcePoint(e(0), e, 0.5, noSketch, stats,
       (a, b, _) => found += ((math.min(a, b), math.max(a, b))))
     assert(stats.pre == 29, "self-comparison skipped")
     val truth = TestUtil.bruteTruth(recs, 0.5).keySet.filter(pr => pr._1 == 0L || pr._2 == 0L)
     assert(found == truth)
+  }
+
+  test("the integer size range decides exactly as sizeCompatible") {
+    for (lambda <- Seq(0.1, 0.2, 0.3, 1.0 / 3, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95, 0.99); s <- 0 to 200) {
+      val lo = Verification.minCompatibleSize(s, lambda)
+      val hi = Verification.maxCompatibleSize(s, lambda)
+      for (y <- 0 to 2100)
+        assert((lo <= y && y <= hi) == Verification.sizeCompatible(s, y, lambda), s"λ=$lambda s=$s y=$y [$lo, $hi]")
+    }
+  }
+
+  /** The brute-force kernels' reference: `verify` on every pair of a bucket. */
+  private def verifyLoop(bucket: IndexedSeq[EmbeddedRec], lambda: Double, lambdaHat: Double, bits: Int,
+                         stats: LocalStats): Map[(Long, Long), Double] =
+    (for (i <- bucket.indices; j <- (i + 1) until bucket.length;
+          sim = Verification.verify(bucket(i), bucket(j), lambda, lambdaHat, bits, stats) if !sim.isNaN)
+      yield (bucket(i).id, bucket(j).id) -> sim).toMap
+
+  test("bruteForcePairs and bruteForcePoint equal a per-pair verify loop, sketch on and off") {
+    val q = CPSParams(t = 16, ell = 8, seed = 4)
+    val h = new MinHasher(q.t, q.ell, q.seed)
+    var results, exactRejects, sketchRejects = 0L
+    for (seed <- 1 to 12; lambda <- Seq(0.3, 0.5, 0.8); sketchOn <- Seq(true, false)) {
+      val recs = TestUtil.randomRecords(60, 6, 16, seed = seed, spread = 4)
+      val bucket = EmbeddedRec.embedAll(recs, h).toIndexedSeq
+      val bits = if (sketchOn) q.sketchBits else 0
+      val lh = Sketch.lambdaHat(lambda, q.sketchBits, q.delta)
+      val maxD = Sketch.maxDistance(lh, bits)
+      val refStats = new LocalStats
+      val ref = verifyLoop(bucket, lambda, lh, bits, refStats)
+      val stats = new LocalStats
+      val got = mutable.ArrayBuffer.empty[((Long, Long), Double)]
+      Verification.bruteForcePairs(bucket, lambda, maxD, stats, (a, b, s) => got += (((a, b), s)))
+      val ctx = s"seed=$seed λ=$lambda sketch=$sketchOn"
+      assert(got.size == ref.size && got.toMap == ref, ctx)
+      assert((stats.pre, stats.cand, stats.res) == ((refStats.pre, refStats.cand, refStats.res)), ctx)
+      results += ref.size
+      exactRejects += refStats.cand - refStats.res
+      if (sketchOn) sketchRejects -= refStats.cand else sketchRejects += refStats.cand
+
+      val x = bucket(seed)
+      val pointRefStats = new LocalStats
+      val pointRef = bucket.filter(_.id != x.id).flatMap { y =>
+        val sim = Verification.verify(x, y, lambda, lh, bits, pointRefStats)
+        if (sim.isNaN) None else Some((math.min(x.id, y.id), math.max(x.id, y.id)) -> sim)
+      }.toMap
+      val pointStats = new LocalStats
+      val point = mutable.HashMap.empty[(Long, Long), Double]
+      Verification.bruteForcePoint(x, bucket, lambda, maxD, pointStats, (a, b, s) => point((a, b)) = s)
+      assert(point == pointRef, ctx)
+      assert((pointStats.pre, pointStats.cand, pointStats.res) ==
+        ((pointRefStats.pre, pointRefStats.cand, pointRefStats.res)), ctx)
+    }
+    assert(results > 0 && exactRejects > 0 && sketchRejects > 0, "the buckets must exercise every filter")
+  }
+
+  /** `dedup` of an emit stream against a `mutable.HashMap` keyed (min, max). */
+  private def assertDedupMatchesReference(stream: Seq[(Long, Long, Double)]): Unit = {
+    val ref = mutable.HashMap.empty[(Long, Long), Double]
+    for ((a, b, s) <- stream) ref((math.min(a, b), math.max(a, b))) = s
+    val got = Verification.dedup(emit => stream.foreach { case (a, b, s) => emit(a, b, s) })
+    assert(got == ref.toMap && got.size == ref.size)
+  }
+
+  test("dedup equals a HashMap reference: repeats, both id orders, extreme ids, resizes") {
+    val rng = new SplittableRandom(11)
+    val extremes = Array(Long.MinValue, Long.MinValue + 1, -1L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
+    def id(range: Int): Long =
+      if (rng.nextInt(8) == 0) extremes(rng.nextInt(extremes.length)) else rng.nextInt(range) - range / 2L
+    for (range <- Seq(4, 40, 400)) {
+      // Few ids: every pair repeats many times, in both orders, with new similarities.
+      assertDedupMatchesReference(Seq.fill(5000)((id(range), id(range), rng.nextDouble())))
+    }
+    // Enough distinct pairs to double the table many times over.
+    val many = (0 until 40000).map(i => (i.toLong * 7919 - 100000, -i.toLong, i / 40000.0))
+    assertDedupMatchesReference(many ++ many.reverse.map { case (a, b, s) => (b, a, s + 1) })
+    assert(Verification.dedup(emit => emit(Long.MaxValue, Long.MinValue, 0.5)) == Map((Long.MinValue, Long.MaxValue) -> 0.5))
+  }
+
+  test("dedup of an empty stream is the empty Map") {
+    assert(Verification.dedup(_ => ()) == Map.empty)
   }
 }

@@ -6,17 +6,16 @@ import scala.collection.mutable
 /** ALLPAIRS exact set similarity self-join (Bayardo et al. [9], as optimized
   * by Mann et al. [7] — the paper's exact baseline "ALL").
   *
-  * Pipeline:
-  *  1. rank tokens by ascending global frequency (rarest first);
-  *  2. sort each record's tokens by that rank and the records by size;
-  *  3. for each record x in size order, scan the inverted lists of its
-  *     *probing prefix* (the first |x| − ⌈λ|x|⌉ + 1 tokens), accumulating
-  *     overlap counts against previously indexed records that pass the size
-  *     lower bound |y| ≥ λ|x|;
-  *  4. verify candidates with the overlap criterion
-  *     |x ∩ y| ≥ λ/(1+λ)·(|x|+|y|);
-  *  5. index x under its *indexing prefix* (the first
-  *     |x| − ⌈2λ/(1+λ)·|x|⌉ + 1 tokens).
+  * Two steps, which the Spark engine shares:
+  *  1. `prepare` ranks tokens by ascending global frequency (rarest first),
+  *     maps every record into rank space, sorts the records by (size, id)
+  *     and indexes every record under its *indexing (mid-)prefix* (the first
+  *     |x| − ⌈2λ/(1+λ)·|x|⌉ + 1 tokens) in one inverted index;
+  *  2. `Prober.probe(xi)` scans the inverted lists of record xi's *probing
+  *     prefix* (the first |x| − ⌈λ|x|⌉ + 1 tokens) over the records before
+  *     it that pass the size lower bound |y| ≥ λ|x|, and verifies each
+  *     distinct one with the overlap criterion |x ∩ y| ≥ λ/(1+λ)·(|x|+|y|).
+  *     Pairs and counters do not depend on which records are probed together.
   *
   * Table IV counter semantics: every inverted-list entry touched after the
   * size check is a pre-candidate; every distinct candidate pair reaching
@@ -43,75 +42,105 @@ object AllPairsLocal {
     ranks
   }
 
-  /** Exact self-join; returns pairs (id1 < id2) with their similarity. */
-  def selfJoin(recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
-               stats: LocalStats = new LocalStats): Map[(Long, Long), Double] = {
+  /** The read-only state of one join at threshold `lambda`. Record xi (in
+    * (size, id) order) has id `ids(xi)` and the ascending token ranks
+    * `tokens(xi)`. The inverted list of token rank t is
+    * `entries(listStart(t) until listStart(t + 1))`: the records whose
+    * indexing prefix holds t, in ascending order, so their sizes do not
+    * decrease along the list.
+    */
+  final class Prepared(val lambda: Double, val ids: Array[Long], val tokens: Array[Array[Int]],
+                       val listStart: Array[Int], val entries: Array[Int]) extends Serializable {
+    def length: Int = ids.length
+  }
+
+  /** Checks the input and builds the join's rank map, (size, id) order and
+    * inverted index. Rejects λ ∉ (0, 1), duplicate ids and empty sets (whose
+    * prefix is empty, so no probe could pair two of them, at similarity 1).
+    */
+  def prepare(recs: scala.collection.IndexedSeq[SetRec], lambda: Double): Prepared = {
     require(lambda > 0 && lambda < 1)
     SetRec.requireDistinctIds(recs)
-    if (recs.length < 2) return Map.empty
+    for (r <- recs) require(r.tokens.nonEmpty, s"record ${r.id} is an empty set")
     val ranks = tokenRanks(recs)
-    // Map every record into rank space (bijective, so similarities are
-    // unchanged): ascending rank = rarest-first prefix order, and the arrays
-    // stay sorted for merge-based intersection. Records sorted by size, id.
+    // Rank space is a bijection, so similarities are unchanged: ascending
+    // rank is the rarest-first prefix order, and the arrays stay sorted for
+    // merge-based intersection.
     val sorted: Array[SetRec] = recs.iterator
       .map(r => SetRec(r.id, r.tokens.map(ranks).sorted))
       .toArray
       .sortBy(r => (r.tokens.length, r.id))
+    val lists = Array.fill(ranks.size)(mutable.ArrayBuffer.empty[Int])
+    for (xi <- sorted.indices; i <- 0 until indexingPrefixLength(sorted(xi).size, lambda))
+      lists(sorted(xi).tokens(i)) += xi
+    new Prepared(lambda, sorted.map(_.id), sorted.map(_.tokens), lists.scanLeft(0)(_ + _.length), lists.flatten)
+  }
 
-    // token-rank -> list of (recordIndex); record sizes along a list are
-    // non-decreasing, so the size filter advances a start pointer.
-    val index = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    val listStart = mutable.HashMap.empty[Int, Int]
-    val out = Map.newBuilder[(Long, Long), Double]
+  /** Probes the records of `prep` one at a time, with overlap counters of
+    * its own: one `Prober` per thread or Spark task.
+    */
+  final class Prober(prep: Prepared) {
+    import prep._
+    private val overlap = new Array[Int](length)
+    private val touched = new Array[Int](length)
 
-    val overlapCount = mutable.HashMap.empty[Int, Int]
-    var xi = 0
-    while (xi < sorted.length) {
-      val x = sorted(xi)
-      val sx = x.tokens.length
+    /** Joins record `xi` with every record before it: emits each result pair
+      * (smaller id first) with its similarity and counts into `stats`.
+      */
+    def probe(xi: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+      val x = tokens(xi)
+      val sx = x.length
       val minSize = math.ceil(lambda * sx - 1e-9)
-      overlapCount.clear()
       val pp = probingPrefixLength(sx, lambda)
+      var nTouched = 0
       var pi = 0
       while (pi < pp) {
-        val tok = x.tokens(pi)
-        index.get(tok) match {
-          case Some(list) =>
-            var li = listStart.getOrElse(tok, 0)
-            // skip permanently the indexed records that are now too small
-            while (li < list.length && sorted(list(li)).tokens.length < minSize) li += 1
-            listStart.update(tok, li)
-            while (li < list.length) {
-              val yi = list(li)
-              stats.pre += 1
-              overlapCount.update(yi, overlapCount.getOrElse(yi, 0) + 1)
-              li += 1
-            }
-          case None => ()
+        val t = x(pi)
+        val end = listStart(t + 1)
+        // Sizes do not decrease along a list: find the first entry within
+        // the size bound by binary search, then scan the records before x.
+        var li = listStart(t)
+        var hi = end
+        while (li < hi) {
+          val mid = (li + hi) >>> 1
+          if (tokens(entries(mid)).length >= minSize) hi = mid else li = mid + 1
+        }
+        while (li < end && entries(li) < xi) {
+          val yi = entries(li)
+          if (overlap(yi) == 0) { touched(nTouched) = yi; nTouched += 1 }
+          overlap(yi) += 1
+          stats.pre += 1
+          li += 1
         }
         pi += 1
       }
-      for ((yi, _) <- overlapCount) {
-        stats.cand += 1
-        val y = sorted(yi)
-        val inter = Jaccard.intersectionSize(x.tokens, y.tokens)
-        if (inter >= Jaccard.overlapThreshold(sx, y.tokens.length, lambda) - 1e-9) {
-          val sim = inter.toDouble / (sx + y.tokens.length - inter)
+      stats.cand += nTouched
+      var k = 0
+      while (k < nTouched) {
+        val yi = touched(k)
+        overlap(yi) = 0
+        val y = tokens(yi)
+        val inter = Jaccard.intersectionSize(x, y)
+        if (inter >= Jaccard.overlapThreshold(sx, y.length, lambda) - 1e-9) {
+          val sim = inter.toDouble / (sx + y.length - inter)
           if (sim >= lambda - 1e-12) {
             stats.res += 1
-            out += (((math.min(x.id, y.id), math.max(x.id, y.id)), sim))
+            emit(math.min(ids(xi), ids(yi)), math.max(ids(xi), ids(yi)), sim)
           }
         }
+        k += 1
       }
-      val ip = indexingPrefixLength(sx, lambda)
-      var ii = 0
-      while (ii < ip) {
-        val tok = x.tokens(ii)
-        index.getOrElseUpdate(tok, mutable.ArrayBuffer.empty) += xi
-        ii += 1
-      }
-      xi += 1
     }
+  }
+
+  /** Exact self-join; returns pairs (id1 < id2) with their similarity. */
+  def selfJoin(recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
+               stats: LocalStats = new LocalStats): Map[(Long, Long), Double] = {
+    val prep = prepare(recs, lambda)
+    val prober = new Prober(prep)
+    val out = Map.newBuilder[(Long, Long), Double]
+    val emit = (a: Long, b: Long, s: Double) => { out += (((a, b), s)); () }
+    for (xi <- 0 until prep.length) prober.probe(xi, stats, emit)
     out.result()
   }
 }

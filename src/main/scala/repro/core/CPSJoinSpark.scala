@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Distributed CPSJoin: a distribution shell around `CPSJoinLocal.node`.
   *
@@ -54,14 +55,11 @@ object CPSJoinSpark {
     spark.sparkContext.broadcast(EmbeddedRec.embedAll(recs, hasher).toIndexedSeq)
   }
 
-  /** Finishes `buckets` of payload records in one Spark job and passes the
-    * pairs their tasks emit to `emit` on the driver. A bucket ships as the
-    * payload indices of its members, found by identity, with its `S` (a node
-    * seed, say); `min(buckets, defaultParallelism)` slices of them run
-    * `finish` against the broadcast payload. Each task counts into its own
-    * `LocalStats` and returns its three counts with its pairs, and the driver
-    * adds them to `stats`; so a re-run task is counted once, like its pairs.
-    * One call is one job and no shuffle. Shared by CPSJoin and MinHash LSH.
+  /** Finishes `buckets` of payload records in one `runTasks` job and passes
+    * the pairs their tasks emit to `emit` on the driver. A bucket ships as
+    * the payload indices of its members, found by identity, with its `S` (a
+    * node seed, say), and runs `finish` against the broadcast payload.
+    * Shared by CPSJoin and MinHash LSH.
     */
   def finishBuckets[S](spark: SparkSession, payload: Broadcast[IndexedSeq[EmbeddedRec]],
                        buckets: Seq[(scala.collection.IndexedSeq[EmbeddedRec], S)],
@@ -71,14 +69,30 @@ object CPSJoinSpark {
     val index = new java.util.IdentityHashMap[EmbeddedRec, Int]
     for (i <- recs.indices) index.put(recs(i), i)
     val shipped = buckets.map { case (members, s) => (members.map(index.get).toArray, s) }
-    val sc = spark.sparkContext
-    val slices = math.max(1, math.min(shipped.length, sc.defaultParallelism))
-    val parts = sc.parallelize(shipped, slices).mapPartitions { it =>
+    runTasks(spark, shipped, stats, emit) { (it, taskStats, emitTask) =>
       val all = payload.value
+      for ((members, s) <- it) finish(members.map(all), s, taskStats, emitTask)
+    }
+  }
+
+  /** Runs `work` in one Spark job over `min(items, defaultParallelism)`
+    * slices of `items`, one call per slice, and passes the pairs its tasks
+    * emit to `emit` on the driver. Each task counts into its own
+    * `LocalStats` and returns its three counts with its pairs, and the driver
+    * adds them to `stats`; so a re-run task is counted once, like its pairs.
+    * One call is one job and no shuffle: the task shell of all three Spark
+    * engines.
+    */
+  def runTasks[T: ClassTag](spark: SparkSession, items: Seq[T], stats: LocalStats,
+                            emit: (Long, Long, Double) => Unit)(
+      work: (Iterator[T], LocalStats, (Long, Long, Double) => Unit) => Unit): Unit = {
+    val sc = spark.sparkContext
+    val slices = math.max(1, math.min(items.length, sc.defaultParallelism))
+    val parts = sc.parallelize(items, slices).mapPartitions { it =>
       val taskStats = new LocalStats
       val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
       val emitTask = (a: Long, b: Long, s: Double) => { out += ((a, b, s)); () }
-      for ((members, s) <- it) finish(members.map(all), s, taskStats, emitTask)
+      work(it, taskStats, emitTask)
       Iterator.single((out, taskStats.pre, taskStats.cand, taskStats.res))
     }.collect()
     for ((pairs, pre, cand, res) <- parts) {

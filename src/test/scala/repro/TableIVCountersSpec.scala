@@ -1,13 +1,13 @@
 package repro
 
-import repro.baselines.{MinHashLSHLocal, MinHashLSHSpark}
+import repro.baselines.{AllPairsLocal, AllPairsSpark, MinHashLSHLocal, MinHashLSHSpark}
 import repro.core._
 import repro.data.Datasets
 
 /** Golden Table IV counters (pre-candidates, candidates, results) and
-  * distinct pairs of both approximate joins on both engines, for AOL ×1,
-  * seed 7, λ = 0.5 and `CPSParams()`. A change that moves any of them changes
-  * what the joins compute or how they count it.
+  * distinct pairs of the two approximate joins and the exact join on both
+  * engines, for AOL ×1, seed 7, λ = 0.5 and `CPSParams()`. A change that
+  * moves any of them changes what the joins compute or how they count it.
   */
 class TableIVCountersSpec extends SparkSpec {
 
@@ -34,5 +34,12 @@ class TableIVCountersSpec extends SparkSpec {
     val golden = (147027L, 12904L, 11095L, 3401)
     assert(counts(s => MinHashLSHLocal.selfJoin(embedded, lambda, 0.9, p, s)) == golden, "local")
     assert(counts(s => MinHashLSHSpark.selfJoin(spark, recs, lambda, 0.9, p, s)) == golden, "spark")
+  }
+
+  test("AllPairs: golden counters on AOL ×1, seed 7, λ = 0.5, both engines") {
+    val golden = (51535L, 50987L, 3719L, 3719)
+    assert(counts(s => AllPairsLocal.selfJoin(recs, lambda, s)) == golden, "local")
+    val (pairs, pre, cand) = AllPairsSpark.selfJoinCollect(spark, recs, lambda)
+    assert((pre, cand, pairs.size.toLong, pairs.size) == golden, "spark")
   }
 }

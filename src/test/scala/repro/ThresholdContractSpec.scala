@@ -4,8 +4,8 @@ import repro.baselines.{AllPairsLocal, AllPairsSpark, MinHashLSHLocal, MinHashLS
 import repro.core._
 
 /** The approximate joins take λ ∈ (0, 1), as the exact AllPairs joins do,
-  * every entry point that embeds raw records rejects a record with no
-  * tokens, and every raw entry point rejects two records with the same id.
+  * every raw entry point rejects a record with no tokens, and every raw
+  * entry point rejects two records with the same id.
   */
 class ThresholdContractSpec extends SparkSpec {
 
@@ -59,14 +59,18 @@ class ThresholdContractSpec extends SparkSpec {
 
   test("every raw entry point rejects an input that holds an empty set") {
     val withEmpty = twins :+ SetRec(2, Array.empty[Int])
-    val rawJoins: Seq[(String, () => Any)] = Seq(
-      "CPSJoinLocal.selfJoinRaw" -> (() => CPSJoinLocal.selfJoinRaw(withEmpty, 0.5, p)),
-      "CPSJoinSpark.selfJoin" -> (() => CPSJoinSpark.selfJoin(spark, withEmpty, 0.5, p)),
-      "CPSJoinSpark.broadcastPayload" -> (() => CPSJoinSpark.broadcastPayload(spark, withEmpty, p)),
-      "MinHashLSHSpark.selfJoin" -> (() => MinHashLSHSpark.selfJoin(spark, withEmpty, 0.5, 0.9, p)))
-    for ((name, join) <- rawJoins)
+    val embedding = "requirement failed: cannot embed an empty set"
+    val prefixFilter = "requirement failed: record 2 is an empty set"
+    val rawJoins: Seq[(String, String, () => Any)] = Seq(
+      ("CPSJoinLocal.selfJoinRaw", embedding, () => CPSJoinLocal.selfJoinRaw(withEmpty, 0.5, p)),
+      ("CPSJoinSpark.selfJoin", embedding, () => CPSJoinSpark.selfJoin(spark, withEmpty, 0.5, p)),
+      ("CPSJoinSpark.broadcastPayload", embedding, () => CPSJoinSpark.broadcastPayload(spark, withEmpty, p)),
+      ("MinHashLSHSpark.selfJoin", embedding, () => MinHashLSHSpark.selfJoin(spark, withEmpty, 0.5, 0.9, p)),
+      ("AllPairsLocal.selfJoin", prefixFilter, () => AllPairsLocal.selfJoin(withEmpty, 0.5)),
+      ("AllPairsSpark.selfJoinCollect", prefixFilter, () => AllPairsSpark.selfJoinCollect(spark, withEmpty, 0.5)))
+    for ((name, message, join) <- rawJoins)
       withClue(s"$name: ") {
-        assert(intercept[IllegalArgumentException](join()).getMessage == "requirement failed: cannot embed an empty set")
+        assert(intercept[IllegalArgumentException](join()).getMessage == message)
       }
   }
 }

@@ -1,11 +1,62 @@
 package repro.baselines
 
 import repro.{Oracle, SparkSpec, TestUtil}
-import repro.core.SetRec
+import repro.core.{Jaccard, LocalStats, SetRec}
 import repro.data.Datasets
 import org.apache.spark.sql.DataFrame
+import scala.collection.mutable
 
 class AllPairsSparkSpec extends SparkSpec {
+
+  /** The incremental AllPairs loop that `AllPairsLocal.Prober` replaced:
+    * probe x over the records indexed so far, advancing a per-list start
+    * pointer past records below the size bound, count overlaps in a
+    * `HashMap`, then index x. A probe over the full index must equal it in
+    * pairs, similarities and Table IV counters.
+    */
+  private def incrementalJoin(recs: IndexedSeq[SetRec], lambda: Double, stats: LocalStats): Map[(Long, Long), Double] = {
+    if (recs.length < 2) return Map.empty
+    val ranks = AllPairsLocal.tokenRanks(recs)
+    val sorted: Array[SetRec] = recs.iterator
+      .map(r => SetRec(r.id, r.tokens.map(ranks).sorted))
+      .toArray
+      .sortBy(r => (r.tokens.length, r.id))
+    val index = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+    val listStart = mutable.HashMap.empty[Int, Int]
+    val out = Map.newBuilder[(Long, Long), Double]
+    val overlapCount = mutable.HashMap.empty[Int, Int]
+    for (xi <- sorted.indices) {
+      val x = sorted(xi)
+      val sx = x.tokens.length
+      val minSize = math.ceil(lambda * sx - 1e-9)
+      overlapCount.clear()
+      for (tok <- x.tokens.take(AllPairsLocal.probingPrefixLength(sx, lambda)); list <- index.get(tok)) {
+        var li = listStart.getOrElse(tok, 0)
+        while (li < list.length && sorted(list(li)).tokens.length < minSize) li += 1
+        listStart.update(tok, li)
+        while (li < list.length) {
+          stats.pre += 1
+          overlapCount.update(list(li), overlapCount.getOrElse(list(li), 0) + 1)
+          li += 1
+        }
+      }
+      for ((yi, _) <- overlapCount) {
+        stats.cand += 1
+        val y = sorted(yi)
+        val inter = Jaccard.intersectionSize(x.tokens, y.tokens)
+        if (inter >= Jaccard.overlapThreshold(sx, y.tokens.length, lambda) - 1e-9) {
+          val sim = inter.toDouble / (sx + y.tokens.length - inter)
+          if (sim >= lambda - 1e-12) {
+            stats.res += 1
+            out += (((math.min(x.id, y.id), math.max(x.id, y.id)), sim))
+          }
+        }
+      }
+      for (tok <- x.tokens.take(AllPairsLocal.indexingPrefixLength(sx, lambda)))
+        index.getOrElseUpdate(tok, mutable.ArrayBuffer.empty) += xi
+    }
+    out.result()
+  }
 
   /** Ground-truth join in SQL (DuckDB side of the oracle): pairs of records
     * sharing tokens whose Jaccard similarity reaches λ.
@@ -39,20 +90,44 @@ class AllPairsSparkSpec extends SparkSpec {
                                     ("AOL", 0.03, 0.6)))
     test(s"oracle: AllPairsSpark equals the DuckDB ground-truth join on $name at λ=$lambda") {
       val recs = Datasets.byName(name).gen(scale, seed = 101).toIndexedSeq
-      val res = AllPairsSpark.selfJoin(spark, AllPairsSpark.toDF(spark, recs.toSeq), lambda)
-      val pairsDf = res.pairs.select("id1", "id2")
+      val (pairs, _, _) = AllPairsSpark.selfJoinCollect(spark, recs, lambda)
+      import spark.implicits._
+      val pairsDf = pairs.keys.toSeq.toDF("id1", "id2")
       Oracle.assertEquivalent(pairsDf, truthSql(lambda),
         "tokens" -> tokensDf(recs), "sizes" -> sizesDf(recs))
-      res.pairs.unpersist(blocking = false)
     }
 
   for (lambda <- Seq(0.5, 0.7, 0.9))
     test(s"AllPairsSpark equals AllPairsLocal at λ=$lambda") {
       val recs = TestUtil.randomRecords(250, 12, 60, seed = 102, spread = 6)
-      val (dist, _, _) = AllPairsSpark.selfJoinCollect(spark, recs, lambda)
-      val local = AllPairsLocal.selfJoin(recs, lambda)
+      val (dist, pre, cand) = AllPairsSpark.selfJoinCollect(spark, recs, lambda)
+      val stats = new LocalStats
+      val local = AllPairsLocal.selfJoin(recs, lambda, stats)
       assert(dist.keySet == local.keySet)
-      for ((k, v) <- dist) assert(math.abs(v - local(k)) < 1e-12)
+      for ((k, v) <- dist) assert(v == local(k), s"similarity of $k")
+      assert((pre, cand, dist.size.toLong) == (stats.pre, stats.cand, stats.res))
+    }
+
+  for (lambda <- Seq(0.5, 0.7, 0.9))
+    test(s"probe over the full index equals the incremental loop at λ=$lambda, both engines") {
+      val inputs = Seq(
+        "no record" -> IndexedSeq.empty[SetRec],
+        "one record" -> IndexedSeq(SetRec(0, Array(1, 2))),
+        "equal sizes" -> TestUtil.randomRecords(200, 8, 40, seed = 105),
+        "size spread" -> TestUtil.randomRecords(250, 12, 60, seed = 106, spread = 8),
+        "AOL" -> Datasets.byName("AOL").gen(0.3, seed = 107).toIndexedSeq)
+      for ((name, recs) <- inputs)
+        withClue(s"$name: ") {
+          val refStats = new LocalStats
+          val ref = incrementalJoin(recs, lambda, refStats)
+          val refCounts = (refStats.pre, refStats.cand, refStats.res)
+          val localStats = new LocalStats
+          assert(AllPairsLocal.selfJoin(recs, lambda, localStats) == ref, "local pairs")
+          assert((localStats.pre, localStats.cand, localStats.res) == refCounts, "local counters")
+          val (dist, pre, cand) = AllPairsSpark.selfJoinCollect(spark, recs, lambda)
+          assert(dist == ref, "spark pairs")
+          assert((pre, cand, dist.size.toLong) == refCounts, "spark counters")
+        }
     }
 
   test("counters: pre-candidates >= candidates >= results") {

@@ -9,10 +9,13 @@ import scala.collection.mutable
   *
   * Each repetition buckets records on k concatenated MinHash values (k
   * coordinates of the precomputed t-coordinate minhash vector, sampled per
-  * repetition) and brute-forces every non-empty bucket with the same
-  * sketch-filtered verifier as CPSJoin. The parameter k is chosen per
-  * dataset/threshold to minimize the estimated total cost
-  * L(k) · (bucket work + hashing work) with L(k) = ln(1/(1−φ)) / λ^k.
+  * repetition) and brute-forces every bucket of ≥ 2 records with the same
+  * sketch-filtered verifier as CPSJoin. A bucket is an exact k-tuple group:
+  * the records are refined once per coordinate through
+  * `CPSJoinLocal.groups`, the routine the Chosen Path split uses. The
+  * parameter k is chosen per dataset/threshold to minimize the estimated
+  * total cost L(k) · (bucket work + hashing work) with
+  * L(k) = ln(1/(1−φ)) / λ^k.
   */
 object MinHashLSHLocal {
 
@@ -26,24 +29,16 @@ object MinHashLSHLocal {
     picked.toArray
   }
 
-  /** Bucket key for a record under the given coordinates. */
-  def bucketKey(mh: Array[Int], coords: Array[Int]): Long = {
-    var h = 0x2545f4914f6cdd1dL
-    var i = 0
-    while (i < coords.length) { h = Hashing.combine(h, mh(coords(i)).toLong); i += 1 }
-    h
-  }
-
   /** The buckets of ≥ 2 records of repetition `rep` at key length k, members
-    * in input order: records grouped on their minhashes at the repetition's
-    * coordinates. Both engines and the cost estimate bucket through here.
+    * in input order: the records with equal minhashes at every one of the
+    * repetition's coordinates. Both engines and the cost estimate bucket
+    * through here.
     */
   def buckets(recs: scala.collection.IndexedSeq[EmbeddedRec], k: Int, rep: Int,
               p: CPSParams): Iterator[scala.collection.IndexedSeq[EmbeddedRec]] = {
-    val coords = repCoordinates(p.t, k, p.seed, rep)
-    val groups = mutable.HashMap.empty[Long, mutable.ArrayBuffer[EmbeddedRec]]
-    for (r <- recs) groups.getOrElseUpdate(bucketKey(r.mh, coords), mutable.ArrayBuffer.empty) += r
-    groups.valuesIterator.filter(_.length >= 2)
+    var groups = Seq(recs)
+    for (c <- repCoordinates(p.t, k, p.seed, rep)) groups = groups.flatMap(CPSJoinLocal.groups(_, c))
+    groups.iterator
   }
 
   /** Estimated cost of one repetition at key length k: number of in-bucket
@@ -57,13 +52,17 @@ object MinHashLSHLocal {
   def repetitionsFor(phi: Double, lambda: Double, k: Int): Int =
     math.max(1, math.ceil(math.log(1.0 / (1.0 - phi)) / math.pow(lambda, k)).toInt)
 
-  /** Choose k ∈ kRange minimizing estimated total join cost (paper §V-B).
-    * An empty input has no buckets at any k; it gets the smallest.
+  /** Choose k ∈ {2..10}, capped at the minhash length t, minimizing estimated
+    * total join cost (paper §V-B). An empty input has no buckets at any k; it
+    * gets 2.
     */
   def chooseK(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, phi: Double = 0.9,
-              seed: Long = 42L, kRange: Range = 2 to 10): Int =
-    if (recs.isEmpty) kRange.head
-    else kRange.filter(_ <= recs.head.mh.length).minBy(k => repetitionsFor(phi, lambda, k) * repCost(recs, k, seed))
+              seed: Long = 42L): Int =
+    if (recs.isEmpty) 2
+    else {
+      val t = recs.head.mh.length
+      (math.min(2, t) to math.min(10, t)).minBy(k => repetitionsFor(phi, lambda, k) * repCost(recs, k, seed))
+    }
 
   /** One repetition: brute-force each of its buckets. */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, k: Int, rep: Int,

@@ -12,12 +12,14 @@ import scala.collection.mutable
   *  - the splitting step samples an expected 1/λ coordinates from [t] (each
   *    coordinate with probability 1/(λt)) and buckets records on their
   *    precomputed MinHash value at those coordinates, so placing a record in
-  *    child buckets costs O(1) per child instead of O(|x|); the buckets come
-  *    from sorting one packed long per record, not from a boxed hash map;
+  *    child buckets costs O(1) per child instead of O(|x|); `groups` cuts the
+  *    buckets from one sorted packed long per record, and MinHash LSH builds
+  *    its k-tuple buckets through the same routine;
   *  - the BRUTEFORCE step estimates each record's average similarity to its
   *    bucket in O(ℓ) words using a sampled bucket sketch ŝ (instead of the
-  *    O(t) exact token-count rule), and runs a single pass per node, calling
-  *    BRUTEFORCEPOINT on every record that passes the check;
+  *    O(t) exact token-count rule), and runs a single pass per node: every
+  *    record that passes the check is BRUTEFORCEPOINTed against the
+  *    survivors, and the removed records are brute-forced among themselves;
   *  - candidate pairs are filtered through the 1-bit minwise sketch check at
   *    threshold λ̂ (false-negative probability δ) before exact verification,
   *    tested as an integer bound on the Hamming distance that a join derives
@@ -55,13 +57,13 @@ object CPSJoinLocal {
     val sHat = Sketch.bucketSketch(bucket.map(_.sketch), p.ell, rng)
     val (removed, survivors) =
       bucket.partition(x => Sketch.estimate(x.sketch, sHat, p.sketchBits) > (1.0 - p.eps) * lambda)
-    // Compare each removed point against survivors and *later* removed points
-    // so no pair is reported twice within this node (equivalent to
-    // Algorithm 2's sequential remove-and-recurse).
-    for (ri <- removed.indices) {
-      Verification.bruteForcePoint(removed(ri), survivors, lambda, maxD, stats, emit)
-      Verification.bruteForcePoint(removed(ri), removed.drop(ri + 1), lambda, maxD, stats, emit)
-    }
+    // Each removed point against the survivors, then the removed points among
+    // themselves, so no pair is reported twice within this node (equivalent
+    // to Algorithm 2's sequential remove-and-recurse).
+    val survivorArray = survivors.toArray
+    var ri = 0
+    while (ri < removed.length) { Verification.row(removed(ri), survivorArray, 0, lambda, maxD, stats, emit); ri += 1 }
+    Verification.bruteForcePairs(removed, lambda, maxD, stats, emit)
     survivors
   }
 
@@ -87,44 +89,50 @@ object CPSJoinLocal {
   /** Seed of the root node of repetition `rep`. */
   def rootSeed(p: CPSParams, rep: Int): Long = Hashing.mix64(p.seed + 0x9e3779b9L * (rep + 1))
 
+  /** The groups of ≥ 2 members of `bucket` with equal minhash at coordinate
+    * `c`, members in bucket order, groups in ascending minhash value. It sorts
+    * one packed long per member, its minhash above its index, and cuts the
+    * sorted runs. The Chosen Path split and MinHash LSH's k-tuple buckets both
+    * group through here.
+    */
+  def groups(bucket: scala.collection.IndexedSeq[EmbeddedRec],
+             c: Int): scala.collection.Seq[scala.collection.IndexedSeq[EmbeddedRec]] = {
+    val n = bucket.length
+    val out = mutable.ArrayBuffer.empty[scala.collection.IndexedSeq[EmbeddedRec]]
+    val keys = new Array[Long](n)
+    var xi = 0
+    while (xi < n) { keys(xi) = (bucket(xi).mh(c).toLong << 32) | xi; xi += 1 }
+    java.util.Arrays.sort(keys)
+    var start = 0
+    while (start < n) {
+      val v = (keys(start) >> 32).toInt
+      var end = start + 1
+      while (end < n && (keys(end) >> 32).toInt == v) end += 1
+      if (end - start >= 2) {
+        val group = new Array[EmbeddedRec](end - start)
+        var k = start
+        while (k < end) { group(k - start) = bucket(keys(k).toInt); k += 1 }
+        out += ArraySeq.unsafeWrapArray(group)
+      }
+      start = end
+    }
+    out
+  }
+
   /** One Chosen Path tree node (the body of Algorithm 1): the BRUTEFORCE
     * step, forced to finish the bucket at depth `p.maxDepth`, then a split of
     * the survivors on the node's sampled coordinates. `maxD` is the join's
     * sketch bound, `Verification.maxDistance(lambda, p)`. Returns the child
-    * buckets of ≥ 2 records with their seeds, members in bucket order; per
-    * coordinate, the children come in ascending minhash value.
-    *
-    * The split sorts, per coordinate, one packed long per survivor, its
-    * minhash value above its index, and cuts the sorted runs into children.
+    * buckets with their seeds: per coordinate, the `groups` of the survivors.
     */
   def node(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, maxD: Int,
            nodeSeed: Long, depth: Int, stats: LocalStats,
            emit: (Long, Long, Double) => Unit): scala.collection.Seq[(scala.collection.IndexedSeq[EmbeddedRec], Long)] = {
     val effective = if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) else p
     val survivors = bruteForceStep(bucket, lambda, effective, maxD, nodeSeed, stats, emit)
-    val n = survivors.length
-    if (n < 2) return Nil
-    val out = mutable.ArrayBuffer.empty[(scala.collection.IndexedSeq[EmbeddedRec], Long)]
-    val keys = new Array[Long](n)
-    for (c <- splitCoordinates(nodeSeed, p.t, lambda)) {
-      var xi = 0
-      while (xi < n) { keys(xi) = (survivors(xi).mh(c).toLong << 32) | xi; xi += 1 }
-      java.util.Arrays.sort(keys)
-      var start = 0
-      while (start < n) {
-        val v = (keys(start) >> 32).toInt
-        var end = start + 1
-        while (end < n && (keys(end) >> 32).toInt == v) end += 1
-        if (end - start >= 2) {
-          val child = new Array[EmbeddedRec](end - start)
-          var k = start
-          while (k < end) { child(k - start) = survivors(keys(k).toInt); k += 1 }
-          out += ((ArraySeq.unsafeWrapArray(child), childSeed(nodeSeed, c, v)))
-        }
-        start = end
-      }
-    }
-    out
+    if (survivors.length < 2) return Nil
+    for (c <- splitCoordinates(nodeSeed, p.t, lambda).toSeq; child <- groups(survivors, c))
+      yield (child, childSeed(nodeSeed, c, child(0).mh(c)))
   }
 
   /** The whole subtree below a node at `depth`, depth first; `maxD` as for `node`. */

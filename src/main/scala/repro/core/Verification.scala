@@ -11,10 +11,11 @@ import repro.util.Hashing
   * staged filter as the paper's implementation.
   *
   * `verify` states the filter on one pair in the paper's terms. The
-  * brute-force kernels run the same filter unboxed and report the same pairs,
-  * similarities and counters: per row record they hoist its size range and
-  * sketch, and they test the sketch as an integer bound on the Hamming
-  * distance (`Sketch.maxDistance`, derived once per join by `maxDistance`).
+  * brute-force kernels run the same filter unboxed through one row loop and
+  * report the same pairs, similarities and counters: per row record it
+  * hoists the size range and sketch, and it tests the sketch as an integer
+  * bound on the Hamming distance (`Sketch.maxDistance`, derived once per
+  * join by `maxDistance`).
   * `dedup` collects the emitted pairs in a table over primitive arrays.
   */
 object Verification {
@@ -63,44 +64,31 @@ object Verification {
   }
 
   /** Brute-force all pairs within a bucket (BRUTEFORCEPAIRS), with the
-    * sketch bound `maxD` of `maxDistance` (`Int.MaxValue`: no sketch check).
+    * sketch bound `maxD` of `maxDistance` (`Int.MaxValue`: no sketch check):
+    * each member against the members after it.
     */
   def bruteForcePairs(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, maxD: Int,
                       stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
     val b = bucket.toArray
-    val n = b.length
-    var cand = 0L
-    var res = 0L
     var i = 0
-    while (i < n) {
-      val x = b(i)
-      val xTokens = x.tokens
-      val xSketch = x.sketch
-      val lo = minCompatibleSize(xTokens.length, lambda)
-      val hi = maxCompatibleSize(xTokens.length, lambda)
-      var j = i + 1
-      while (j < n) {
-        val y = b(j)
-        val sy = y.tokens.length
-        if (sy >= lo && sy <= hi && Sketch.hamming(xSketch, y.sketch) <= maxD) {
-          cand += 1
-          val sim = Jaccard.similarity(xTokens, y.tokens)
-          if (sim >= lambda) { res += 1; emit(x.id, y.id, sim) }
-        }
-        j += 1
-      }
-      i += 1
-    }
-    stats.pre += n.toLong * (n - 1) / 2
-    stats.cand += cand
-    stats.res += res
+    while (i < b.length) { row(b(i), b, i + 1, lambda, maxD, stats, emit); i += 1 }
   }
 
   /** Brute-force one point against a bucket (BRUTEFORCEPOINT), skipping the
     * point itself; `maxD` as for `bruteForcePairs`.
     */
   def bruteForcePoint(x: EmbeddedRec, bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,
-                      maxD: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+                      maxD: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
+    row(x, bucket.toArray, 0, lambda, maxD, stats, emit)
+
+  /** The one loop of both brute-force kernels: `x` against `b(from)`, …,
+    * `b(b.length - 1)`, skipping members with x's id, with x's size range and
+    * sketch hoisted and the counters kept in locals. With `from = 0` it is
+    * BRUTEFORCEPOINT against a bucket the caller copied into an array once.
+    */
+  private[core] def row(x: EmbeddedRec, b: Array[EmbeddedRec], from: Int, lambda: Double, maxD: Int,
+                        stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+    val xId = x.id
     val xTokens = x.tokens
     val xSketch = x.sketch
     val lo = minCompatibleSize(xTokens.length, lambda)
@@ -108,16 +96,16 @@ object Verification {
     var pre = 0L
     var cand = 0L
     var res = 0L
-    var j = 0
-    while (j < bucket.length) {
-      val y = bucket(j)
-      if (y.id != x.id) {
+    var j = from
+    while (j < b.length) {
+      val y = b(j)
+      if (y.id != xId) {
         pre += 1
         val sy = y.tokens.length
         if (sy >= lo && sy <= hi && Sketch.hamming(xSketch, y.sketch) <= maxD) {
           cand += 1
           val sim = Jaccard.similarity(xTokens, y.tokens)
-          if (sim >= lambda) { res += 1; emit(math.min(x.id, y.id), math.max(x.id, y.id), sim) }
+          if (sim >= lambda) { res += 1; emit(math.min(xId, y.id), math.max(xId, y.id), sim) }
         }
       }
       j += 1

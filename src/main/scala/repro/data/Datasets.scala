@@ -168,14 +168,12 @@ object Datasets {
 
   private def real(name: String, mSets: Double, avg: Double, ratio: Double,
                    n: Int, alpha: Double, sigma: Double = 0.5,
-                   dupFraction: Double = 0.02): DatasetDef = {
-    val d = math.max((5 * avg).toInt, math.round(n * avg / ratio).toInt).max(16)
+                   dupFraction: Double = 0.02): DatasetDef =
     DatasetDef(name, mSets, avg, ratio, n,
       (nn, seed) => {
-        val dd = math.max((5 * avg).toInt, math.round(nn * avg / ratio).toInt).max(16)
-        zipfDataset(nn, avg, dd, alpha, sigma, dupFraction, seed)
+        val d = math.max((5 * avg).toInt, math.round(nn * avg / ratio).toInt).max(16)
+        zipfDataset(nn, avg, d, alpha, sigma, dupFraction, seed)
       })
-  }
 
   /** All 14 evaluation datasets at reproduction scale (paper Table I order).
     * Default n is chosen so the full Table II sweep (14 datasets × 5

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core._
 import repro.data.Datasets
+import scala.collection.mutable
 
 class MinHashLSHLocalSpec extends AnyFunSuite {
 
@@ -26,16 +27,36 @@ class MinHashLSHLocalSpec extends AnyFunSuite {
     assert(cs.distinct.size > 5)
   }
 
-  test("bucketKey equal for equal minhash projections, different otherwise") {
-    val coords = Array(1, 3, 5)
-    val a = Array.tabulate(8)(i => i * 10)
-    val b = a.clone()
-    val c = a.clone(); c(3) = 999
-    assert(MinHashLSHLocal.bucketKey(a, coords) == MinHashLSHLocal.bucketKey(b, coords))
-    assert(MinHashLSHLocal.bucketKey(a, coords) != MinHashLSHLocal.bucketKey(c, coords))
-    val cNoOverlap = a.clone(); cNoOverlap(0) = 999 // coordinate 0 not projected
-    assert(MinHashLSHLocal.bucketKey(a, coords) == MinHashLSHLocal.bucketKey(cNoOverlap, coords))
+  /** The buckets' reference: a boxed `HashMap` keyed on the k-tuple of
+    * minhashes itself, members (as ids) in input order.
+    */
+  private def referenceBuckets(recs: IndexedSeq[EmbeddedRec], k: Int, rep: Int, q: CPSParams): Seq[Seq[Long]] = {
+    val coords = MinHashLSHLocal.repCoordinates(q.t, k, q.seed, rep).toSeq
+    val groups = mutable.HashMap.empty[Seq[Int], mutable.ArrayBuffer[Long]]
+    for (r <- recs) groups.getOrElseUpdate(coords.map(r.mh(_)), mutable.ArrayBuffer.empty) += r.id
+    groups.values.filter(_.length >= 2).map(_.toSeq).toSeq
   }
+
+  /** `chooseK`'s reference: the same cost rule over `referenceBuckets`. */
+  private def referenceK(recs: IndexedSeq[EmbeddedRec], lambda: Double, seed: Long): Int = {
+    val q = CPSParams(t = recs.head.mh.length, seed = seed)
+    (2 to 10).minBy { k =>
+      val pairs = referenceBuckets(recs, k, -1, q).map(b => b.length * (b.length - 1L) / 2.0).sum
+      MinHashLSHLocal.repetitionsFor(0.9, lambda, k) * (pairs + recs.length)
+    }
+  }
+
+  for (name <- Seq("AOL", "UNIFORM005"))
+    test(s"buckets are the exact k-tuple groups and chooseK picks the reference k on $name") {
+      val recs = emb(Datasets.byName(name).gen(scale = 1.0, seed = 7))
+      for (k <- 2 to 10; rep <- -1 to 4) {
+        val got = MinHashLSHLocal.buckets(recs, k, rep, p).map(_.map(_.id).toSeq).toSeq
+        val ref = referenceBuckets(recs, k, rep, p)
+        assert(got.size == ref.size && got.toSet == ref.toSet, s"k=$k rep=$rep")
+      }
+      for (lambda <- Seq(0.5, 0.7, 0.9))
+        assert(MinHashLSHLocal.chooseK(recs, lambda, 0.9, seed = 5) == referenceK(recs, lambda, 5), s"λ=$lambda")
+    }
 
   test("repetitionsFor matches the formula L = ceil(ln(1/(1-φ))/λ^k)") {
     assert(MinHashLSHLocal.repetitionsFor(0.9, 0.5, 2) == math.ceil(math.log(10.0) / 0.25).toInt)
@@ -81,5 +102,11 @@ class MinHashLSHLocalSpec extends AnyFunSuite {
     val dup = emb(Seq(SetRec(0, Array(1, 2, 3)), SetRec(1, Array(1, 2, 3))))
     val res = MinHashLSHLocal.run(dup, 0.9, 2, 0 until MinHashLSHLocal.repetitionsFor(0.9, 0.9, 2), p, new LocalStats)
     assert(res.contains((0L, 1L)))
+    // t = 1: the key length is capped at one coordinate.
+    val t1 = CPSParams(t = 1)
+    val three = EmbeddedRec.embedAll(IndexedSeq(SetRec(0, Array(1, 2, 3)), SetRec(1, Array(1, 2, 3)),
+      SetRec(2, Array(4, 5))), new MinHasher(t1.t, t1.ell, t1.seed)).toIndexedSeq
+    assert(MinHashLSHLocal.chooseK(three, 0.5, 0.9, t1.seed) == 1)
+    assert(MinHashLSHLocal.selfJoin(three, 0.5, 0.9, t1).keySet == Set((0L, 1L)))
   }
 }

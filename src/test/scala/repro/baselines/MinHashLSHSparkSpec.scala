@@ -55,5 +55,7 @@ class MinHashLSHSparkSpec extends SparkSpec {
   test("trivial inputs") {
     assert(MinHashLSHSpark.selfJoin(spark, IndexedSeq.empty, 0.5, 0.9, p).isEmpty)
     assert(MinHashLSHSpark.selfJoin(spark, IndexedSeq(SetRec(0, Array(1, 2))), 0.5, 0.9, p).isEmpty)
+    val three = IndexedSeq(SetRec(0, Array(1, 2, 3)), SetRec(1, Array(1, 2, 3)), SetRec(2, Array(4, 5)))
+    assert(MinHashLSHSpark.selfJoin(spark, three, 0.5, 0.9, CPSParams(t = 1)).keySet == Set((0L, 1L)))
   }
 }

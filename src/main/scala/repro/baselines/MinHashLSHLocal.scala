@@ -20,7 +20,8 @@ import scala.collection.mutable
 object MinHashLSHLocal {
 
   /** Coordinates used by repetition `rep` for key length `k` (distinct,
-    * pseudorandomly sampled from [t] by the repetition seed).
+    * pseudorandomly sampled from [t] by the repetition seed). The draws do
+    * not depend on k, so the coordinates at k are a prefix of those at k + 1.
     */
   def repCoordinates(t: Int, k: Int, seed: Long, rep: Int): Array[Int] = {
     val rng = new SplittableRandom(Hashing.mix64(seed ^ (0x51ab0e * (rep + 7)).toLong))
@@ -35,33 +36,42 @@ object MinHashLSHLocal {
     * through here.
     */
   def buckets(recs: scala.collection.IndexedSeq[EmbeddedRec], k: Int, rep: Int,
-              p: CPSParams): Iterator[scala.collection.IndexedSeq[EmbeddedRec]] = {
-    var groups = Seq(recs)
-    for (c <- repCoordinates(p.t, k, p.seed, rep)) groups = groups.flatMap(CPSJoinLocal.groups(_, c))
-    groups.iterator
-  }
+              p: CPSParams): Iterator[scala.collection.IndexedSeq[EmbeddedRec]] =
+    repCoordinates(p.t, k, p.seed, rep).foldLeft(Seq(recs))(refine).iterator
+
+  /** `groups` refined by one more coordinate `c`. */
+  private def refine(groups: Seq[scala.collection.IndexedSeq[EmbeddedRec]],
+                     c: Int): Seq[scala.collection.IndexedSeq[EmbeddedRec]] =
+    groups.flatMap(CPSJoinLocal.groups(_, c))
 
   /** Estimated cost of one repetition at key length k: number of in-bucket
     * pairs (similarity estimations) plus n (splitting work).
     */
   def repCost(recs: scala.collection.IndexedSeq[EmbeddedRec], k: Int, seed: Long): Double =
-    buckets(recs, k, rep = -1, CPSParams(t = recs.head.mh.length, seed = seed))
-      .map(b => b.length * (b.length - 1L) / 2.0).sum + recs.length.toDouble
+    cost(buckets(recs, k, rep = -1, CPSParams(t = recs.head.mh.length, seed = seed)), recs.length)
+
+  private def cost(buckets: IterableOnce[scala.collection.IndexedSeq[EmbeddedRec]], n: Int): Double =
+    buckets.iterator.map(b => b.length * (b.length - 1L) / 2.0).sum + n.toDouble
 
   /** Number of repetitions for recall φ at key length k (worst case at J = λ). */
   def repetitionsFor(phi: Double, lambda: Double, k: Int): Int =
     math.max(1, math.ceil(math.log(1.0 / (1.0 - phi)) / math.pow(lambda, k)).toInt)
 
   /** Choose k ∈ {2..10}, capped at the minhash length t, minimizing estimated
-    * total join cost (paper §V-B). An empty input has no buckets at any k; it
-    * gets 2.
+    * total join cost (paper §V-B); the first minimum wins. An empty input has
+    * no buckets at any k; it gets 2. Since repetition −1's coordinates at k
+    * are a prefix of those at k + 1, the records are refined once, one
+    * coordinate at a time, and each k's `repCost` is read off the running
+    * buckets.
     */
   def chooseK(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, phi: Double = 0.9,
               seed: Long = 42L): Int =
     if (recs.isEmpty) 2
     else {
       val t = recs.head.mh.length
-      (math.min(2, t) to math.min(10, t)).minBy(k => repetitionsFor(phi, lambda, k) * repCost(recs, k, seed))
+      val coords = repCoordinates(t, math.min(10, t), seed, rep = -1)
+      val levels = coords.scanLeft(Seq(recs))(refine)
+      (math.min(2, t) to coords.length).minBy(k => repetitionsFor(phi, lambda, k) * cost(levels(k), recs.length))
     }
 
   /** One repetition: brute-force each of its buckets. */

@@ -58,8 +58,9 @@ object CPSJoinSpark {
   /** Finishes `buckets` of payload records in one `runTasks` job and passes
     * the pairs their tasks emit to `emit` on the driver. A bucket ships as
     * the payload indices of its members, found by identity, with its `S` (a
-    * node seed, say), and runs `finish` against the broadcast payload.
-    * Shared by CPSJoin and MinHash LSH.
+    * node seed, say), and runs `finish` against the broadcast payload. A
+    * member that is not a payload record is rejected. Shared by CPSJoin and
+    * MinHash LSH.
     */
   def finishBuckets[S](spark: SparkSession, payload: Broadcast[IndexedSeq[EmbeddedRec]],
                        buckets: Seq[(scala.collection.IndexedSeq[EmbeddedRec], S)],
@@ -68,7 +69,12 @@ object CPSJoinSpark {
     val recs = payload.value
     val index = new java.util.IdentityHashMap[EmbeddedRec, Int]
     for (i <- recs.indices) index.put(recs(i), i)
-    val shipped = buckets.map { case (members, s) => (members.map(index.get).toArray, s) }
+    def indexOf(r: EmbeddedRec): Int = {
+      val i = index.getOrDefault(r, -1)
+      require(i >= 0, s"bucket member (id ${r.id}) is not a record of the broadcast payload")
+      i
+    }
+    val shipped = buckets.map { case (members, s) => (members.map(indexOf).toArray, s) }
     runTasks(spark, shipped, stats, emit) { (it, taskStats, emitTask) =>
       val all = payload.value
       for ((members, s) <- it) finish(members.map(all), s, taskStats, emitTask)
@@ -77,11 +83,13 @@ object CPSJoinSpark {
 
   /** Runs `work` in one Spark job over `min(items, defaultParallelism)`
     * slices of `items`, one call per slice, and passes the pairs its tasks
-    * emit to `emit` on the driver. Each task counts into its own
-    * `LocalStats` and returns its three counts with its pairs, and the driver
-    * adds them to `stats`; so a re-run task is counted once, like its pairs.
-    * One call is one job and no shuffle: the task shell of all three Spark
-    * engines.
+    * emit to `emit` on the driver. Each task appends its pairs to three
+    * primitive columns (the ids as emitted, the similarity) and returns them
+    * with its three `LocalStats` counts: 24 bytes a pair and no object per
+    * pair to serialize and read back. The driver replays the columns into
+    * `emit` and adds the counts to `stats`, so a re-run task is counted once,
+    * like its pairs. One call is one job and no shuffle: the task shell of
+    * all three Spark engines.
     */
   def runTasks[T: ClassTag](spark: SparkSession, items: Seq[T], stats: LocalStats,
                             emit: (Long, Long, Double) => Unit)(
@@ -90,14 +98,16 @@ object CPSJoinSpark {
     val slices = math.max(1, math.min(items.length, sc.defaultParallelism))
     val parts = sc.parallelize(items, slices).mapPartitions { it =>
       val taskStats = new LocalStats
-      val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
-      val emitTask = (a: Long, b: Long, s: Double) => { out += ((a, b, s)); () }
-      work(it, taskStats, emitTask)
-      Iterator.single((out, taskStats.pre, taskStats.cand, taskStats.res))
+      val as = new mutable.ArrayBuilder.ofLong
+      val bs = new mutable.ArrayBuilder.ofLong
+      val sims = new mutable.ArrayBuilder.ofDouble
+      work(it, taskStats, (a, b, s) => { as.addOne(a); bs.addOne(b); sims.addOne(s); () })
+      Iterator.single((as.result(), bs.result(), sims.result(), Array(taskStats.pre, taskStats.cand, taskStats.res)))
     }.collect()
-    for ((pairs, pre, cand, res) <- parts) {
-      stats.pre += pre; stats.cand += cand; stats.res += res
-      for ((a, b, s) <- pairs) emit(a, b, s)
+    for ((as, bs, sims, counts) <- parts) {
+      stats.pre += counts(0); stats.cand += counts(1); stats.res += counts(2)
+      var i = 0
+      while (i < as.length) { emit(as(i), bs(i), sims(i)); i += 1 }
     }
   }
 

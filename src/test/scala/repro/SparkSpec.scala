@@ -22,21 +22,42 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   /** Spark jobs started and shuffle bytes written while `body` runs. */
   def jobsAndShuffleBytes(body: => Unit): (Int, Long) = {
-    val sc = spark.sparkContext
     val jobs = new AtomicInteger
     val shuffleBytes = new AtomicLong
-    val listener = new SparkListener {
+    listening(new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
         if (e.taskMetrics != null) shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
-    }
+    })(body)
+    (jobs.get, shuffleBytes.get)
+  }
+
+  /** Spark tasks ended and the bytes of their serialized results
+    * (`taskMetrics.resultSize`) while `body` runs.
+    */
+  def tasksAndResultBytes(body: => Unit): (Int, Long) = {
+    val tasks = new AtomicInteger
+    val resultBytes = new AtomicLong
+    listening(new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = {
+        tasks.incrementAndGet()
+        if (e.taskMetrics != null) resultBytes.addAndGet(e.taskMetrics.resultSize)
+      }
+    })(body)
+    (tasks.get, resultBytes.get)
+  }
+
+  /** Runs `body` with `listener` registered, after every event posted before
+    * it and until every event posted by it has been delivered.
+    */
+  private def listening(listener: SparkListener)(body: => Unit): Unit = {
+    val sc = spark.sparkContext
     ListenerBusDrain(sc)
     sc.addSparkListener(listener)
     try {
       body
       ListenerBusDrain(sc)
     } finally sc.removeSparkListener(listener)
-    (jobs.get, shuffleBytes.get)
   }
 }
 

@@ -22,6 +22,14 @@ class MinHashLSHLocalSpec extends AnyFunSuite {
     }
   }
 
+  test("repCoordinates at k are a prefix of those at k + 1") {
+    for (t <- Seq(1, 5, 10, 128); rep <- -1 to 3; k <- 1 to 11) {
+      val short = MinHashLSHLocal.repCoordinates(t, k, seed = 5, rep)
+      val long = MinHashLSHLocal.repCoordinates(t, k + 1, seed = 5, rep)
+      assert(short.length == math.min(k, t) && long.take(short.length).sameElements(short), s"t=$t rep=$rep k=$k")
+    }
+  }
+
   test("different repetitions use different coordinates (almost surely)") {
     val cs = (0 until 10).map(r => MinHashLSHLocal.repCoordinates(64, 4, seed = 5, rep = r).toSeq)
     assert(cs.distinct.size > 5)

@@ -1,7 +1,9 @@
 package repro.core
 
 import repro.{SparkSpec, TestUtil}
+import repro.baselines.{AllPairsSpark, MinHashLSHSpark}
 import repro.data.Datasets
+import scala.collection.mutable
 
 class CPSJoinSparkSpec extends SparkSpec {
 
@@ -106,5 +108,89 @@ class CPSJoinSparkSpec extends SparkSpec {
     // With the cap the tree is cut at depth 2 and every live bucket is brute
     // forced, so well-above-threshold pairs must all be present.
     assert(strong.subsetOf(res.keySet))
+  }
+
+  /** Runs `runTasks` over `items`, each item the pairs to emit, with a task
+    * that counts per item 1 pre-candidate, a candidate per pair and two
+    * results per pair; the driver must receive exactly the emitted multiset
+    * and the summed counts.
+    */
+  private def assertShellDelivers(items: Seq[Seq[(Long, Long, Double)]]): Unit = {
+    val stats = new LocalStats
+    val got = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+    CPSJoinSpark.runTasks(spark, items, stats, (a, b, s) => { got += ((a, b, s)); () }) { (it, taskStats, emit) =>
+      for (pairs <- it) {
+        taskStats.pre += 1; taskStats.cand += pairs.length; taskStats.res += 2L * pairs.length
+        for ((a, b, s) <- pairs) emit(a, b, s)
+      }
+    }
+    val sent = items.flatten
+    def multiset(ps: Seq[(Long, Long, Double)]) = ps.groupMapReduce(identity)(_ => 1)(_ + _)
+    assert(multiset(got.toSeq) == multiset(sent))
+    assert((stats.pre, stats.cand, stats.res) == ((items.length.toLong, sent.length.toLong, 2L * sent.length)))
+  }
+
+  private def somePairs(from: Long, n: Int): Seq[(Long, Long, Double)] =
+    (0 until n).map(i => (from + i, from + i + 1 + i % 3, 0.5 + i % 7 / 14.0))
+
+  test("runTasks: empty items deliver nothing and count nothing") {
+    assertShellDelivers(Seq.empty)
+  }
+
+  test("runTasks: tasks that emit nothing, beside tasks that do") {
+    assertShellDelivers(Seq.fill(6)(Seq.empty))
+    assertShellDelivers(Seq(Seq.empty, somePairs(0, 3), Seq.empty, Seq.empty, somePairs(100, 1), Seq.empty))
+  }
+
+  test("runTasks: a task that emits far more pairs than its buffer starts with") {
+    assertShellDelivers(Seq(somePairs(0, 10000)))
+    assertShellDelivers(Seq(somePairs(0, 5000), somePairs(1L << 40, 17), somePairs(-50000, 16)))
+  }
+
+  test("runTasks: the same pair emitted by two tasks arrives twice") {
+    // Two items make two slices (on at least two cores), one task each.
+    val twice = Seq((7L, 9L, 0.75))
+    assertShellDelivers(Seq(twice, twice))
+    assertShellDelivers(Seq(twice ++ twice, twice, somePairs(0, 40) ++ twice))
+  }
+
+  test("finishBuckets ships payload records and rejects a member that is not one") {
+    val recs = TestUtil.randomRecords(20, 8, 30, seed = 90)
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      val payload = bc.value
+      def finishIds(bucket: IndexedSeq[EmbeddedRec]): Seq[Long] = {
+        val ids = mutable.ArrayBuffer.empty[Long]
+        CPSJoinSpark.finishBuckets(spark, bc, Seq((bucket, ())), new LocalStats, (a, _, _) => { ids += a; () }) {
+          (members, _, _, emit) => members.foreach(r => emit(r.id, r.id, 1.0))
+        }
+        ids.toSeq
+      }
+      assert(finishIds(IndexedSeq(payload(5), payload(0), payload(9))) == Seq(payload(5).id, payload(0).id, payload(9).id))
+      // An equal copy is not the payload record: it has no payload index.
+      val e = intercept[IllegalArgumentException](finishIds(IndexedSeq(payload(5), payload(5).copy())))
+      assert(e.getMessage.contains(s"id ${payload(5).id}"), e.getMessage)
+    } finally bc.destroy()
+  }
+
+  test("each Spark engine's tasks return at most 24 bytes a pair plus a fixed amount a task") {
+    // A task returns its pairs as three primitive columns (8 + 8 + 8 bytes a
+    // pair) with its counts; the fixed part covers the columns' headers and
+    // Spark's own per-task result (its metric updates).
+    val perTask = 4096L
+    val recs = Datasets.byName("AOL").gen(1.0, 7).toIndexedSeq
+    val q = CPSParams()
+    def check(name: String)(join: LocalStats => Unit): Unit = {
+      val stats = new LocalStats
+      val (tasks, bytes) = tasksAndResultBytes(join(stats))
+      assert(stats.res > 1000 && tasks >= 1, name)
+      assert(bytes <= 24 * stats.res + perTask * tasks, s"$name: $bytes bytes for ${stats.res} pairs in $tasks tasks")
+    }
+    check("CP")(s => CPSJoinSpark.selfJoin(spark, recs, 0.5, q, s))
+    check("MH")(s => MinHashLSHSpark.selfJoin(spark, recs, 0.5, 0.9, q, s))
+    check("ALL") { s =>
+      val (pairs, _, _) = AllPairsSpark.selfJoinCollect(spark, recs, 0.5)
+      s.res += pairs.size
+    }
   }
 }

@@ -12,7 +12,9 @@ import scala.collection.mutable
   * repetition) and brute-forces every bucket of ≥ 2 records with the same
   * sketch-filtered verifier as CPSJoin. A bucket is an exact k-tuple group:
   * the records are refined once per coordinate through
-  * `CPSJoinLocal.groups`, the routine the Chosen Path split uses. The
+  * `CPSJoinLocal.groups`, the routine the Chosen Path split uses (a stable
+  * radix sort of the minhashes for large groups, so the refinement of all n
+  * records is linear per coordinate). The
   * parameter k is chosen per dataset/threshold to minimize the estimated
   * total cost L(k) · (bucket work + hashing work) with
   * L(k) = ln(1/(1−φ)) / λ^k.
@@ -44,12 +46,9 @@ object MinHashLSHLocal {
                      c: Int): Seq[scala.collection.IndexedSeq[EmbeddedRec]] =
     groups.flatMap(CPSJoinLocal.groups(_, c))
 
-  /** Estimated cost of one repetition at key length k: number of in-bucket
-    * pairs (similarity estimations) plus n (splitting work).
+  /** Estimated cost of one repetition with these buckets over n records:
+    * number of in-bucket pairs (similarity estimations) plus n (splitting work).
     */
-  def repCost(recs: scala.collection.IndexedSeq[EmbeddedRec], k: Int, seed: Long): Double =
-    cost(buckets(recs, k, rep = -1, CPSParams(t = recs.head.mh.length, seed = seed)), recs.length)
-
   private def cost(buckets: IterableOnce[scala.collection.IndexedSeq[EmbeddedRec]], n: Int): Double =
     buckets.iterator.map(b => b.length * (b.length - 1L) / 2.0).sum + n.toDouble
 
@@ -61,7 +60,7 @@ object MinHashLSHLocal {
     * total join cost (paper §V-B); the first minimum wins. An empty input has
     * no buckets at any k; it gets 2. Since repetition −1's coordinates at k
     * are a prefix of those at k + 1, the records are refined once, one
-    * coordinate at a time, and each k's `repCost` is read off the running
+    * coordinate at a time, and each k's cost is read off the running
     * buckets.
     */
   def chooseK(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, phi: Double = 0.9,

@@ -13,13 +13,17 @@ import scala.collection.mutable
   *    coordinate with probability 1/(λt)) and buckets records on their
   *    precomputed MinHash value at those coordinates, so placing a record in
   *    child buckets costs O(1) per child instead of O(|x|); `groups` cuts the
-  *    buckets from one sorted packed long per record, and MinHash LSH builds
-  *    its k-tuple buckets through the same routine;
+  *    buckets from one sorted packed long per record (radix-sorted in linear
+  *    time for large buckets), and MinHash LSH builds its k-tuple buckets
+  *    through the same routine;
   *  - the BRUTEFORCE step estimates each record's average similarity to its
   *    bucket in O(ℓ) words using a sampled bucket sketch ŝ (instead of the
   *    O(t) exact token-count rule), and runs a single pass per node: every
   *    record that passes the check is BRUTEFORCEPOINTed against the
   *    survivors, and the removed records are brute-forced among themselves;
+  *  - the size filter is a window of the bucket sorted by set size, so a
+  *    brute-forced record scans only its size-compatible partners
+  *    (`Verification`);
   *  - candidate pairs are filtered through the 1-bit minwise sketch check at
   *    threshold λ̂ (false-negative probability δ) before exact verification,
   *    tested as an integer bound on the Hamming distance that a join derives
@@ -59,11 +63,18 @@ object CPSJoinLocal {
       bucket.partition(x => Sketch.estimate(x.sketch, sHat, p.sketchBits) > (1.0 - p.eps) * lambda)
     // Each removed point against the survivors, then the removed points among
     // themselves, so no pair is reported twice within this node (equivalent
-    // to Algorithm 2's sequential remove-and-recurse).
-    val survivorArray = survivors.toArray
-    var ri = 0
-    while (ri < removed.length) { Verification.row(removed(ri), survivorArray, 0, lambda, maxD, stats, emit); ri += 1 }
-    Verification.bruteForcePairs(removed, lambda, maxD, stats, emit)
+    // to Algorithm 2's sequential remove-and-recurse). The survivors are
+    // sorted by size once, into a scratch view, if any point was removed;
+    // they stay in bucket order.
+    if (removed.nonEmpty) {
+      val survivorsBySize = Verification.bySize(survivors)
+      var ri = 0
+      while (ri < removed.length) {
+        Verification.bruteForcePoint(removed(ri), survivorsBySize, lambda, maxD, stats, emit)
+        ri += 1
+      }
+      Verification.bruteForcePairs(removed, lambda, maxD, stats, emit)
+    }
     survivors
   }
 
@@ -92,17 +103,19 @@ object CPSJoinLocal {
   /** The groups of ≥ 2 members of `bucket` with equal minhash at coordinate
     * `c`, members in bucket order, groups in ascending minhash value. It sorts
     * one packed long per member, its minhash above its index, and cuts the
-    * sorted runs. The Chosen Path split and MinHash LSH's k-tuple buckets both
-    * group through here.
+    * sorted runs. Buckets of `RadixCutoff` members or more sort in linear time
+    * (`radixSort`), smaller ones by comparison; both give the same order. The
+    * Chosen Path split and MinHash LSH's k-tuple buckets both group through
+    * here.
     */
   def groups(bucket: scala.collection.IndexedSeq[EmbeddedRec],
              c: Int): scala.collection.Seq[scala.collection.IndexedSeq[EmbeddedRec]] = {
     val n = bucket.length
     val out = mutable.ArrayBuffer.empty[scala.collection.IndexedSeq[EmbeddedRec]]
-    val keys = new Array[Long](n)
+    var keys = new Array[Long](n)
     var xi = 0
     while (xi < n) { keys(xi) = (bucket(xi).mh(c).toLong << 32) | xi; xi += 1 }
-    java.util.Arrays.sort(keys)
+    if (n < RadixCutoff) java.util.Arrays.sort(keys) else keys = radixSort(keys)
     var start = 0
     while (start < n) {
       val v = (keys(start) >> 32).toInt
@@ -118,6 +131,50 @@ object CPSJoinLocal {
     }
     out
   }
+
+  /** Below this many members, `groups` sorts by comparison. */
+  private val RadixCutoff = 64
+
+  /** `keys` sorted stably by their high 32 bits as a signed `Int`: four LSD
+    * passes over the bytes of the sign-flipped value, skipping a pass in which
+    * every key has the same byte. `groups` packs its keys in index order, so
+    * the result equals `Arrays.sort` of them. May return a new array.
+    */
+  private def radixSort(keys: Array[Long]): Array[Long] = {
+    val n = keys.length
+    val counts = new Array[Int](4 * 256)
+    var i = 0
+    while (i < n) {
+      var pass = 0
+      while (pass < 4) { counts(256 * pass + digit(keys(i), pass)) += 1; pass += 1 }
+      i += 1
+    }
+    var src = keys
+    var dst = new Array[Long](n)
+    var pass = 0
+    while (pass < 4) {
+      val base = 256 * pass
+      if (counts(base + digit(src(0), pass)) < n) {
+        var sum = 0
+        var d = 0
+        while (d < 256) { val m = counts(base + d); counts(base + d) = sum; sum += m; d += 1 }
+        i = 0
+        while (i < n) {
+          val slot = base + digit(src(i), pass)
+          dst(counts(slot)) = src(i)
+          counts(slot) += 1
+          i += 1
+        }
+        val t = src; src = dst; dst = t
+      }
+      pass += 1
+    }
+    src
+  }
+
+  /** Byte `pass` (0 = lowest) of a packed key's sign-flipped minhash. */
+  @inline private def digit(key: Long, pass: Int): Int =
+    (((key >>> 32).toInt ^ Int.MinValue) >>> (8 * pass)) & 0xff
 
   /** One Chosen Path tree node (the body of Algorithm 1): the BRUTEFORCE
     * step, forced to finish the bucket at depth `p.maxDepth`, then a split of

@@ -33,8 +33,9 @@ final case class CPSParams(
 /** Candidate-pair accounting with Table IV semantics.
   *
   * - pre: pairs considered by BRUTEFORCEPAIRS / BRUTEFORCEPOINT (CPSJoin,
-  *   MinHash LSH) or inverted-list entries touched after the size check
-  *   (AllPairs).
+  *   MinHash LSH), including the size-rejected ones, which the size-sorted
+  *   kernels count without touching them, or inverted-list entries touched
+  *   after the size check (AllPairs).
   * - cand: pairs passed to exact similarity verification (after size and
   *   sketch checks for CPSJoin; after dedup for AllPairs).
   * - res: verified pairs reported (possibly with duplicates for CPSJoin;

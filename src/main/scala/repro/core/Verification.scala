@@ -10,28 +10,22 @@ import repro.util.Hashing
   * (estimate ≥ λ̂), and only then the exact overlap verification — the same
   * staged filter as the paper's implementation.
   *
-  * `verify` states the filter on one pair in the paper's terms. The
-  * brute-force kernels run the same filter unboxed through one row loop and
-  * report the same pairs, similarities and counters: per row record it
-  * hoists the size range and sketch, and it tests the sketch as an integer
-  * bound on the Hamming distance (`Sketch.maxDistance`, derived once per
-  * join by `maxDistance`).
-  * `dedup` collects the emitted pairs in a table over primitive arrays.
+  * Both brute-force kernels run the filter unboxed through one row loop. A
+  * bucket is viewed sorted by (set size, bucket index), as AllPairs sorts on
+  * length (Bayardo, Ma and Srikant, WWW 2007), so the size-compatible partners
+  * of a row record are one contiguous window: the row scans only the window,
+  * with the sketch tested as an integer bound on the Hamming distance
+  * (`Sketch.maxDistance`, derived once per join by `maxDistance`), and counts
+  * the members outside it as size-rejected pre-candidates without touching
+  * them. `dedup` collects the emitted pairs in a table over primitive arrays.
   */
 object Verification {
 
-  /** Size compatibility: can J(x,y) ≥ λ hold given only the set sizes? */
-  @inline def sizeCompatible(sx: Int, sy: Int, lambda: Double): Boolean = {
-    val lo = math.min(sx, sy).toDouble
-    val hi = math.max(sx, sy).toDouble
-    lo >= lambda * hi
-  }
-
-  /** The smallest size y with `sizeCompatible(s, y, λ)`, for 0 < λ < 1. */
+  /** The smallest size y with min(s, y) ≥ λ·max(s, y), for 0 < λ < 1: ⌈λs⌉. */
   private[core] def minCompatibleSize(s: Int, lambda: Double): Int = math.ceil(lambda * s).toInt
 
-  /** The largest size y with `sizeCompatible(s, y, λ)`, for 0 < λ < 1. So
-    * `sizeCompatible(s, y, λ)` ⇔ min ≤ y ≤ max, with the same rounding.
+  /** The largest size y with min(s, y) ≥ λ·max(s, y), for 0 < λ < 1. A set of
+    * size y can reach J ≥ λ with one of size s only if min ≤ y ≤ max.
     */
   private[core] def maxCompatibleSize(s: Int, lambda: Double): Int = {
     var y = math.min(math.floor(s / lambda), Int.MaxValue - 1.0).toInt
@@ -47,62 +41,88 @@ object Verification {
   def maxDistance(lambda: Double, p: CPSParams): Int =
     Sketch.maxDistance(Sketch.lambdaHat(lambda, p.sketchBits, p.delta), p.sketchBits)
 
-  /** Verify one candidate pair end-to-end. Returns the exact similarity if
-    * the pair is a result (J ≥ λ), NaN otherwise. Updates `stats`: the pair
-    * is counted as a pre-candidate; pairs passing size+sketch checks are
-    * counted as candidates; verified pairs as results. `sketchBits = 0`
-    * switches the sketch check off.
+  /** The members of `bucket` sorted by (set size, bucket index): the scratch
+    * view both brute-force kernels scan. The bucket itself keeps its order.
     */
-  def verify(x: EmbeddedRec, y: EmbeddedRec, lambda: Double, lambdaHat: Double,
-             sketchBits: Int, stats: LocalStats): Double = {
-    stats.pre += 1
-    if (!sizeCompatible(x.tokens.length, y.tokens.length, lambda)) return Double.NaN
-    if (sketchBits > 0 && Sketch.estimate(x.sketch, y.sketch, sketchBits) < lambdaHat) return Double.NaN
-    stats.cand += 1
-    val sim = Jaccard.similarity(x.tokens, y.tokens)
-    if (sim >= lambda) { stats.res += 1; sim } else Double.NaN
+  private[core] def bySize(bucket: scala.collection.IndexedSeq[EmbeddedRec]): Array[EmbeddedRec] = {
+    val n = bucket.length
+    val keys = new Array[Long](n)
+    var i = 0
+    while (i < n) { keys(i) = (bucket(i).tokens.length.toLong << 32) | i; i += 1 }
+    java.util.Arrays.sort(keys)
+    val sorted = new Array[EmbeddedRec](n)
+    i = 0
+    while (i < n) { sorted(i) = bucket(keys(i).toInt); i += 1 }
+    sorted
+  }
+
+  /** The first position of the size-sorted `b` whose member has more than `s` tokens. */
+  private def firstAbove(b: Array[EmbeddedRec], s: Int): Int = {
+    var lo = 0
+    var hi = b.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (b(mid).tokens.length <= s) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   /** Brute-force all pairs within a bucket (BRUTEFORCEPAIRS), with the
     * sketch bound `maxD` of `maxDistance` (`Int.MaxValue`: no sketch check):
-    * each member against the members after it.
+    * in the size-sorted view, each member against the members after it, of
+    * which those up to the end of its size window are scanned.
     */
   def bruteForcePairs(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, maxD: Int,
                       stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
-    val b = bucket.toArray
+    val b = bySize(bucket)
+    var end = 0
+    var size = -1
+    var maxSize = -1
     var i = 0
-    while (i < b.length) { row(b(i), b, i + 1, lambda, maxD, stats, emit); i += 1 }
+    while (i < b.length) {
+      // Members after i are no smaller, so the window has no lower end.
+      if (b(i).tokens.length != size) { size = b(i).tokens.length; maxSize = maxCompatibleSize(size, lambda) }
+      while (end < b.length && b(end).tokens.length <= maxSize) end += 1
+      row(b(i), b, i + 1, end, b.length - end, lambda, maxD, stats, emit)
+      i += 1
+    }
   }
 
   /** Brute-force one point against a bucket (BRUTEFORCEPOINT), skipping the
-    * point itself; `maxD` as for `bruteForcePairs`.
+    * point itself; `sorted` is the bucket's `bySize` view, built once for all
+    * the points brute-forced against it, and `maxD` is as for
+    * `bruteForcePairs`. Two binary searches find the point's size window.
     */
-  def bruteForcePoint(x: EmbeddedRec, bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double,
-                      maxD: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
-    row(x, bucket.toArray, 0, lambda, maxD, stats, emit)
+  private[core] def bruteForcePoint(x: EmbeddedRec, sorted: Array[EmbeddedRec], lambda: Double, maxD: Int,
+                                    stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+    val s = x.tokens.length
+    val from = firstAbove(sorted, minCompatibleSize(s, lambda) - 1)
+    val until = firstAbove(sorted, maxCompatibleSize(s, lambda))
+    row(x, sorted, from, until, from + sorted.length - until, lambda, maxD, stats, emit)
+  }
 
-  /** The one loop of both brute-force kernels: `x` against `b(from)`, …,
-    * `b(b.length - 1)`, skipping members with x's id, with x's size range and
-    * sketch hoisted and the counters kept in locals. With `from = 0` it is
-    * BRUTEFORCEPOINT against a bucket the caller copied into an array once.
+  /** The one loop of both brute-force kernels: `x` against the window
+    * `b(from)`, …, `b(until - 1)` of its size-compatible members, skipping
+    * members with x's id, with x's sketch hoisted and the counters kept in
+    * locals. The `outside` members beyond the window fail the size check, so
+    * they count as pre-candidates only. `pre` thus counts every member other
+    * than x, as a per-pair loop does: ids are distinct within a payload, and x
+    * always lies in its own size window, so no member with x's id is outside.
     */
-  private[core] def row(x: EmbeddedRec, b: Array[EmbeddedRec], from: Int, lambda: Double, maxD: Int,
-                        stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+  private def row(x: EmbeddedRec, b: Array[EmbeddedRec], from: Int, until: Int, outside: Int, lambda: Double,
+                  maxD: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
     val xId = x.id
     val xTokens = x.tokens
     val xSketch = x.sketch
-    val lo = minCompatibleSize(xTokens.length, lambda)
-    val hi = maxCompatibleSize(xTokens.length, lambda)
-    var pre = 0L
+    var pre = outside.toLong
     var cand = 0L
     var res = 0L
     var j = from
-    while (j < b.length) {
+    while (j < until) {
       val y = b(j)
       if (y.id != xId) {
         pre += 1
-        val sy = y.tokens.length
-        if (sy >= lo && sy <= hi && Sketch.hamming(xSketch, y.sketch) <= maxD) {
+        if (Sketch.hamming(xSketch, y.sketch) <= maxD) {
           cand += 1
           val sim = Jaccard.similarity(xTokens, y.tokens)
           if (sim >= lambda) { res += 1; emit(math.min(xId, y.id), math.max(xId, y.id), sim) }

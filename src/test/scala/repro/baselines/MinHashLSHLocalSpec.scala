@@ -83,10 +83,18 @@ class MinHashLSHLocalSpec extends AnyFunSuite {
     }
   }
 
+  /** Estimated cost of one repetition at key length k, as `chooseK` counts
+    * it: number of in-bucket pairs (similarity estimations) plus n (splitting
+    * work), over the buckets of repetition −1.
+    */
+  private def repCost(recs: IndexedSeq[EmbeddedRec], k: Int, seed: Long): Double =
+    MinHashLSHLocal.buckets(recs, k, rep = -1, CPSParams(t = recs.head.mh.length, seed = seed))
+      .map(b => b.length * (b.length - 1L) / 2.0).sum + recs.length
+
   test("repCost decreases with k (longer keys mean smaller buckets)") {
     val recs = emb(TestUtil.randomRecords(500, 12, 40, seed = 51))
-    val c2 = MinHashLSHLocal.repCost(recs, 2, seed = 5)
-    val c8 = MinHashLSHLocal.repCost(recs, 8, seed = 5)
+    val c2 = repCost(recs, 2, seed = 5)
+    val c8 = repCost(recs, 8, seed = 5)
     assert(c8 <= c2)
   }
 

@@ -169,6 +169,35 @@ class CPSJoinLocalSpec extends AnyFunSuite {
     assert(compared > 0, "some depth-1 node must split")
   }
 
+  /** `groups`' reference: a boxed `HashMap` from minhash to the members (as
+    * ids) in bucket order, groups of ≥ 2 in ascending signed minhash.
+    */
+  private def referenceGroups(bucket: IndexedSeq[EmbeddedRec], c: Int): Seq[Seq[Long]] = {
+    val byValue = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
+    for (x <- bucket) byValue.getOrElseUpdate(x.mh(c), mutable.ArrayBuffer.empty) += x.id
+    byValue.toSeq.sortBy(_._1).map(_._2.toSeq).filter(_.length >= 2)
+  }
+
+  test("groups equals a HashMap reference: extreme values, all equal, all distinct, both sort paths") {
+    val rng = new java.util.SplittableRandom(12)
+    val extremes = Array(Int.MinValue, Int.MinValue + 1, -1, 0, 1, Int.MaxValue - 1, Int.MaxValue)
+    val draws: Seq[(String, Int => Int)] = Seq(
+      "extremes" -> (_ => extremes(rng.nextInt(extremes.length))),
+      "extremes and few values" -> (_ => if (rng.nextBoolean()) extremes(rng.nextInt(extremes.length)) else rng.nextInt(9) - 4),
+      "full range" -> (_ => rng.nextInt()),
+      "one byte varies" -> (_ => 0x5a00005a | (rng.nextInt(4) << 16)),
+      "top byte varies" -> (_ => (rng.nextInt(4) - 2) << 24),
+      "all equal" -> (_ => -7),
+      "all distinct" -> (i => i * -104729 + 3),
+    )
+    for ((name, draw) <- draws; n <- Seq(0, 1, 2, 3, 50, 63, 64, 65, 127, 128, 129, 300, 5000); c <- 0 to 1) {
+      // Ids out of order, so the member order checked is the bucket's, not the ids'.
+      val bucket = (0 until n).map(i => EmbeddedRec((i * 7919L) % 10007, Array(1), Array(draw(i), draw(i)), Array(0L)))
+      val got = CPSJoinLocal.groups(bucket, c).map(_.map(_.id).toSeq).toSeq
+      assert(got == referenceGroups(bucket, c), s"$name n=$n c=$c")
+    }
+  }
+
   test("bruteForceStep within limit reports the exact bucket join") {
     val recs = TestUtil.randomRecords(30, 10, 40, seed = 25)
     val hasher = new MinHasher(64, 4, seed = 3)

@@ -3,6 +3,7 @@ package repro.core
 import repro.util.Hashing
 import repro.util.Hashing.Tabulation64
 import java.util.SplittableRandom
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
 /** MinHash embedding and 1-bit minwise sketches (paper §V-A1).
   *
@@ -20,6 +21,10 @@ import java.util.SplittableRandom
   * a bit salt (64·sketchWords bit mixes per record); no token is hashed twice.
   * See `repro.util.Hashing` and DESIGN.md for why this substitution for
   * per-function tabulation is safe.
+  *
+  * `embed` reads only the tables and salts fixed at construction and writes
+  * only arrays it allocates, so a hasher is thread-safe: `EmbeddedRec.embedAll`
+  * shares one across its worker threads.
   */
 final class MinHasher(val t: Int, val sketchWords: Int, seed: Long) extends Serializable {
   require(t > 0 && sketchWords >= 0)
@@ -80,11 +85,61 @@ final class MinHasher(val t: Int, val sketchWords: Int, seed: Long) extends Seri
 final case class EmbeddedRec(id: Long, tokens: Array[Int], mh: Array[Int], sketch: Array[Long])
 
 object EmbeddedRec {
+
+  /** Records per block; a worker claims one block at a time. */
+  private[core] val Block = 256
+
+  /** Name prefix of the worker threads `embedAll` starts. */
+  private[core] val WorkerPrefix = "embedAll-worker-"
+
+  /** Embeds every record, `out(i)` from `recs(i)`, on all cores.
+    *
+    * The input contract is checked serially on the caller before any work
+    * starts: distinct ids first, then non-empty sets, so the error is the
+    * same as a serial embedding's. Then the caller and up to
+    * `availableProcessors − 1` plain worker threads claim blocks of `Block`
+    * records from a shared counter and write their slots in place, so the
+    * output is bit-identical to `recs.map(r => hasher.embed(r.tokens))`
+    * whatever order the blocks finish in. `MinHasher.embed` shares no
+    * mutable state, so one hasher serves every thread. An input of fewer
+    * than two blocks runs inline. The workers are joined before this
+    * returns or throws; a worker's exception is rethrown as it is.
+    */
   def embedAll(recs: scala.collection.IndexedSeq[SetRec], hasher: MinHasher): Array[EmbeddedRec] = {
     SetRec.requireDistinctIds(recs)
-    recs.iterator.map { r =>
-      val (mh, sk) = hasher.embed(r.tokens)
-      EmbeddedRec(r.id, r.tokens, mh, sk)
-    }.toArray
+    for (r <- recs) require(r.tokens.nonEmpty, "cannot embed an empty set")
+    val out = new Array[EmbeddedRec](recs.length)
+    val blocks = (out.length + Block - 1) / Block
+    val next = new AtomicInteger(0)
+    val failure = new AtomicReference[Throwable]()
+    def work(): Unit =
+      try {
+        var b = next.getAndIncrement()
+        while (b < blocks) {
+          var i = b * Block
+          val end = math.min(out.length, i + Block)
+          while (i < end) {
+            val r = recs(i)
+            val (mh, sk) = hasher.embed(r.tokens)
+            out(i) = EmbeddedRec(r.id, r.tokens, mh, sk)
+            i += 1
+          }
+          b = next.getAndIncrement()
+        }
+      } catch {
+        case e: Throwable =>
+          next.set(blocks) // the other threads stop after their current block
+          failure.compareAndSet(null, e)
+      }
+    val workers = Array.tabulate(math.min(Runtime.getRuntime.availableProcessors, blocks) - 1)(k =>
+      new Thread(() => work(), WorkerPrefix + k))
+    workers.foreach(_.start())
+    work()
+    // Joined even if the caller is interrupted meanwhile; its interrupt status is kept.
+    var interrupted = false
+    for (w <- workers) while (w.isAlive) try w.join() catch { case _: InterruptedException => interrupted = true }
+    if (interrupted) Thread.currentThread.interrupt()
+    if (failure.get != null) throw failure.get
+    out
   }
 }

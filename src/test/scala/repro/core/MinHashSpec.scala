@@ -6,6 +6,9 @@ import repro.data.Datasets
 import repro.util.Hashing
 import repro.util.Hashing.Tabulation64
 import java.util.SplittableRandom
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicInteger
+import scala.jdk.CollectionConverters._
 
 /** Reference embedding: a direct token-outer loop with one running minimum
   * per function in an array, which hashes each argmin token again for its
@@ -161,6 +164,103 @@ class MinHashSpec extends AnyFunSuite {
       assert(e.id == r.id)
       assert(e.tokens.sameElements(r.tokens))
       assert(e.mh.length == 16 && e.sketch.length == 1)
+    }
+  }
+
+  /** n records with ids 0 until n whose sizes swing from 2 000 tokens down
+    * to 1 within each block, and by block, so blocks finish out of order.
+    */
+  private def skewed(n: Int, seed: Long): IndexedSeq[SetRec] = {
+    val rng = new SplittableRandom(seed)
+    val B = EmbeddedRec.Block
+    IndexedSeq.tabulate(n) { i =>
+      val size = if ((i / B) % 3 == 0) math.max(1, 2000 - 8 * (i % B)) else 1 + rng.nextInt(40)
+      SetRec(i.toLong, rng.ints(size.toLong * 2, 0, Int.MaxValue).distinct().limit(size.toLong).toArray.sorted)
+    }
+  }
+
+  private def liveWorkers: Set[String] =
+    Thread.getAllStackTraces.keySet.asScala.map(_.getName).filter(_.startsWith(EmbeddedRec.WorkerPrefix)).toSet
+
+  /** A view of `recs` that records which threads read it, and can throw `boom`
+    * on the `failOnRead`-th read of index `failAt`.
+    */
+  private final class Watched(recs: IndexedSeq[SetRec], failAt: Int = -1, failOnRead: Int = 0,
+                              boom: RuntimeException = null) extends IndexedSeq[SetRec] {
+    val readers: java.util.Set[String] = ConcurrentHashMap.newKeySet[String]()
+    private val reads = new AtomicInteger(0)
+    def length: Int = recs.length
+    def apply(i: Int): SetRec = {
+      readers.add(Thread.currentThread.getName)
+      if (i == failAt && reads.incrementAndGet() == failOnRead) throw boom
+      recs(i)
+    }
+  }
+
+  test("embedAll equals a serial embed of every record, in input order, for every block boundary") {
+    val B = EmbeddedRec.Block
+    for (seed <- Seq(7L, -3L); n <- Seq(0, 1, B - 1, B, B + 1, 10 * B + 3)) {
+      val recs = skewed(n, seed)
+      val hasher = new MinHasher(32, 2, seed)
+      val emb = EmbeddedRec.embedAll(recs, hasher)
+      withClue(s"seed=$seed n=$n: ") {
+        assert(emb.length == n)
+        for ((e, r) <- emb.zip(recs)) {
+          val (mh, sk) = hasher.embed(r.tokens)
+          assert(e.id == r.id && (e.tokens eq r.tokens))
+          assert(e.mh.sameElements(mh) && e.sketch.sameElements(sk), s"record ${r.id}")
+        }
+        assert(liveWorkers.isEmpty)
+      }
+    }
+  }
+
+  test("embedAll runs below two blocks on the caller alone and otherwise on at most availableProcessors threads") {
+    val B = EmbeddedRec.Block
+    val hasher = new MinHasher(8, 1, 1)
+    val cores = Runtime.getRuntime.availableProcessors
+    for (n <- Seq(1, B, B + 1, 10 * B + 3)) {
+      val watched = new Watched(skewed(n, 5))
+      EmbeddedRec.embedAll(watched, hasher)
+      val threads = watched.readers.asScala.toSet
+      withClue(s"n=$n, threads ${threads.mkString(", ")}: ") {
+        assert(threads.contains(Thread.currentThread.getName))
+        val workers = threads - Thread.currentThread.getName
+        assert(workers.forall(_.startsWith(EmbeddedRec.WorkerPrefix)))
+        assert(threads.size <= math.min(cores, (n + B - 1) / B))
+        if (n <= B) assert(workers.isEmpty)
+        assert(liveWorkers.isEmpty)
+      }
+    }
+  }
+
+  test("embedAll reports an empty set on the caller, whichever block holds it, after any duplicate id") {
+    val B = EmbeddedRec.Block
+    val n = 10 * B + 3
+    val recs = TestUtil.randomRecords(n, 5, 1000, seed = 8)
+    val hasher = new MinHasher(16, 1, 2)
+    for (at <- Seq(0, n / 2, 7 * B - 1, n - 1); call <- 1 to 20) {
+      val withEmpty = recs.updated(at, SetRec(at.toLong, Array.empty[Int]))
+      val e = intercept[IllegalArgumentException](EmbeddedRec.embedAll(withEmpty, hasher))
+      assert(e.getMessage == "requirement failed: cannot embed an empty set", s"empty set at $at, call $call")
+      assert(liveWorkers.isEmpty, s"empty set at $at, call $call")
+    }
+    val both = recs.updated(1, SetRec(1, Array.empty[Int])).updated(n - 1, SetRec(3, Array(1, 2)))
+    val e = intercept[IllegalArgumentException](EmbeddedRec.embedAll(both, hasher))
+    assert(e.getMessage == "requirement failed: duplicate record id 3")
+    assert(liveWorkers.isEmpty)
+  }
+
+  test("a failure inside a block reaches the caller unwrapped, with every worker joined") {
+    val B = EmbeddedRec.Block
+    val recs = TestUtil.randomRecords(10 * B + 3, 5, 1000, seed = 9)
+    val hasher = new MinHasher(16, 1, 2)
+    // The two serial checks read every index once each; the third read is the embedding's.
+    for (at <- Seq(0, 5 * B + 7, 10 * B + 2)) {
+      val boom = new IllegalStateException(s"read of $at failed")
+      val e = intercept[IllegalStateException](EmbeddedRec.embedAll(new Watched(recs, at, 3, boom), hasher))
+      assert(e eq boom, s"failure at $at")
+      assert(liveWorkers.isEmpty, s"failure at $at")
     }
   }
 

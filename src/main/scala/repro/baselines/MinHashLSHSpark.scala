@@ -5,15 +5,15 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 
 /** Distributed MinHash LSH self-join (paper Algorithm 3): a distribution
-  * shell around `MinHashLSHLocal.buckets`.
+  * shell around `MinHashLSHLocal.runRep`.
   *
-  * The driver buckets the broadcast payload for every repetition with the
-  * local engine's bucketing; one job (`CPSJoinSpark.finishBuckets`, the one
-  * CPSJoin uses) then brute-forces every bucket with the same
-  * sketch-filtered verifier as CPSJoin, and the driver deduplicates the
-  * collected pairs. So for equal parameters both engines report the same
-  * pairs and Table IV counters. The key length k is chosen on the driver
-  * with the cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
+  * The repetitions are independent. One job (`CPSJoinSpark.runTasks`, the
+  * task shell of every Spark engine) over the repetition indices buckets
+  * the broadcast payload and brute-forces every bucket with
+  * `MinHashLSHLocal.runRep`, one whole repetition per item, and the driver
+  * deduplicates the collected pairs. So for equal parameters both engines
+  * report the same pairs and Table IV counters. The key length k is chosen
+  * on the driver with the cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
   */
 final class MinHashLSHSpark(
     spark: SparkSession,
@@ -26,13 +26,16 @@ final class MinHashLSHSpark(
 
   /** Run the given repetitions; returns deduplicated verified pairs. */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
+    // Locals, so the task closure does not capture `this` (and its `stats`).
+    val bc = payload
     val lam = lambda
+    val keyLength = k
     val params = p
-    val maxD = Verification.maxDistance(lam, params)
-    val buckets = for (r <- reps; b <- MinHashLSHLocal.buckets(payload.value, k, r, params)) yield (b, ())
+    // On the driver: a task's own check would reach the caller as a SparkException.
+    Sketch.requireThreshold(lam)
     Verification.dedup { emit =>
-      CPSJoinSpark.finishBuckets(spark, payload, buckets, stats, emit) { (bucket, _, taskStats, emitTask) =>
-        Verification.bruteForcePairs(bucket, lam, maxD, taskStats, emitTask)
+      CPSJoinSpark.runTasks(spark, reps, stats, emit) { (it, taskStats, emitTask) =>
+        for (r <- it) MinHashLSHLocal.runRep(bc.value, lam, keyLength, r, params, taskStats, emitTask)
       }
     }
   }

@@ -78,17 +78,21 @@ object Harness {
     out.toSeq
   }
 
-  /** Full Table II-style measurement of one (dataset, λ) cell. */
+  /** Table II cell measured with the Spark engines. Each method runs once
+    * as a warm-up and then three times, as in `measureLocal`; a figure is the
+    * median of the three.
+    */
   def measure(spark: SparkSession, name: String, recs: IndexedSeq[SetRec], lambda: Double,
               p: CPSParams = CPSParams(), recallTarget: Double = 0.9,
               maxReps: Int = 20): Measurement = {
-    val (truth, all) = runAllPairs(spark, recs, lambda)
+    val (truth, all) = runAllPairs(spark, recs, lambda) // untimed: also the exact join's warm-up
+    val allSecs = median3(runAllPairs(spark, recs, lambda)._2.seconds)
     // Preprocessing (embedding + broadcast) is shared and untimed.
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-    try {
+    try warmMedian {
       val cpStats = new LocalStats
       val cp = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
-      protocol(name, lambda, truth, all, bc.value, p, recallTarget, maxReps, cpStats)(
+      protocol(name, lambda, truth, all.copy(seconds = allSecs), bc.value, p, recallTarget, maxReps, cpStats)(
         cp.run, k => new MinHashLSHSpark(spark, bc, lambda, k, p).run)
     } finally bc.destroy()
   }
@@ -112,16 +116,22 @@ object Harness {
     val hasher = new MinHasher(p.t, p.ell, p.seed)
     val embedded = EmbeddedRec.embedAll(recs, hasher).toIndexedSeq // untimed: also its warm-up
     val embedSecs = median3(time(EmbeddedRec.embedAll(recs, hasher))._2)
-    def approximate(): Measurement = {
+    warmMedian {
       val cpStats = new LocalStats
       protocol(name, lambda, truth, AlgoRun(allSecs, 1.0, 1, truth.size), embedded, p, recallTarget, maxReps, cpStats)(
         reps => CPSJoinLocal.run(embedded, lambda, p, reps, cpStats),
         k => reps => MinHashLSHLocal.run(embedded, lambda, k, reps, p, new LocalStats))
-    }
-    approximate() // warm-up
-    val runs = Seq.fill(3)(approximate())
+    }.copy(embedSeconds = embedSecs)
+  }
+
+  /** Runs the approximate half of a cell once as a warm-up and then three
+    * times; CP and MH each report their median run.
+    */
+  private def warmMedian(approximate: => Measurement): Measurement = {
+    approximate
+    val runs = Seq.fill(3)(approximate)
     def median(algo: Measurement => AlgoRun): AlgoRun = runs.map(algo).sortBy(_.seconds).apply(1)
-    runs.head.copy(cp = median(_.cp), mh = median(_.mh), embedSeconds = embedSecs)
+    runs.head.copy(cp = median(_.cp), mh = median(_.mh))
   }
 
   private def median3(secs: => Double): Double = Seq.fill(3)(secs).sorted.apply(1)

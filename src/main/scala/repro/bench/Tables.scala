@@ -58,8 +58,8 @@ object Tables {
     * headline numbers; dominated by fixed per-job overhead at reproduction
     * scale) and the single-threaded local engines (`lCP/lMH/lALL`, in
     * milliseconds — overhead-free, comparable in *shape* to the paper's
-    * single-core C++ numbers; each the median of three calls after a
-    * warm-up). `lEmb` is the MinHash and sketch embedding those local joins
+    * single-core C++ numbers). Every figure is the median of three calls
+    * after a warm-up. `lEmb` is the MinHash and sketch embedding those local joins
     * start from, which the paper's protocol leaves out of join time; it runs
     * on all cores.
     */

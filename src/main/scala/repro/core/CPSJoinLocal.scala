@@ -31,9 +31,9 @@ import scala.collection.mutable
   *  - duplicates across buckets/repetitions are removed at the end, in
   *    `Verification.dedup`'s primitive pair table.
   *
-  * `node` is the only implementation of a tree node. The Spark engine
-  * (`CPSJoinSpark`) runs each repetition's root `node` on the driver and
-  * finishes every first-level subtree with `subtree` inside one Spark job.
+  * `node` is the only implementation of a tree node, and `runRep` the only
+  * tree walk. The Spark engine (`CPSJoinSpark`) runs whole repetitions with
+  * `runRep` inside its tasks, one job per call.
   */
 object CPSJoinLocal {
 
@@ -192,16 +192,16 @@ object CPSJoinLocal {
       yield (child, childSeed(nodeSeed, c, child(0).mh(c)))
   }
 
-  /** The whole subtree below a node at `depth`, depth first; `maxD` as for `node`. */
-  def subtree(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, maxD: Int,
-              nodeSeed: Long, depth: Int, stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
-    for ((child, seed) <- node(bucket, lambda, p, maxD, nodeSeed, depth, stats, emit))
-      subtree(child, lambda, p, maxD, seed, depth + 1, stats, emit)
-
-  /** One repetition of CPSJoin (one Chosen Path tree); `maxD` as for `node`. */
+  /** One repetition of CPSJoin (one Chosen Path tree, walked depth first
+    * from the root); `maxD` as for `node`.
+    */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, maxD: Int, rep: Int,
-             stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit =
-    subtree(recs, lambda, p, maxD, rootSeed(p, rep), 0, stats, emit)
+             stats: LocalStats, emit: (Long, Long, Double) => Unit): Unit = {
+    def subtree(bucket: scala.collection.IndexedSeq[EmbeddedRec], nodeSeed: Long, depth: Int): Unit =
+      for ((child, seed) <- node(bucket, lambda, p, maxD, nodeSeed, depth, stats, emit))
+        subtree(child, seed, depth + 1)
+    subtree(recs, rootSeed(p, rep), 0)
+  }
 
   /** Repetitions `reps` (tree roots); returns deduplicated result pairs
     * (id1 < id2) with their exact Jaccard similarity.

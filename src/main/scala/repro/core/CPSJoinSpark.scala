@@ -5,18 +5,17 @@ import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
-/** Distributed CPSJoin: a distribution shell around `CPSJoinLocal.node`.
+/** Distributed CPSJoin: a distribution shell around `CPSJoinLocal.runRep`.
   *
-  * Below the root, the subtrees of the Chosen Path tree are independent
-  * (paper §IV). For each repetition the driver runs the root `node` on the
-  * broadcast payload; one job (`finishBuckets`) then finishes every
-  * first-level subtree with `CPSJoinLocal.subtree`, and the driver
-  * deduplicates the collected pairs. A child bucket ships as the payload
-  * indices of its members, in the order the split produced them.
+  * The repetitions are independent Chosen Path trees (paper §IV). One job
+  * (`runTasks`) over the repetition indices runs each whole tree with
+  * `CPSJoinLocal.runRep` against the broadcast payload, and the driver
+  * deduplicates the collected pairs. A repetition is one task's work, so a
+  * call uses at most `min(reps.length, defaultParallelism)` task slots.
   *
-  * The tree and its node seeds are those of `CPSJoinLocal`, so for equal
-  * parameters both engines report the same pairs and the same Table IV
-  * counters (a property the tests assert).
+  * The trees are `CPSJoinLocal`'s own, so for equal parameters both engines
+  * report the same pairs and the same Table IV counters (a property the
+  * tests assert).
   */
 final class CPSJoinSpark(
     spark: SparkSession,
@@ -30,14 +29,14 @@ final class CPSJoinSpark(
     * pairs (id1 < id2) with exact Jaccard similarity.
     */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
+    // Locals, so the task closure does not capture `this` (and its `stats`).
+    val bc = payload
     val lam = lambda
     val params = p
     val maxD = Verification.maxDistance(lam, params)
     Verification.dedup { emit =>
-      val children = reps.flatMap(r =>
-        CPSJoinLocal.node(payload.value, lam, params, maxD, CPSJoinLocal.rootSeed(params, r), 0, stats, emit))
-      CPSJoinSpark.finishBuckets(spark, payload, children, stats, emit) { (bucket, seed, taskStats, emitTask) =>
-        CPSJoinLocal.subtree(bucket, lam, params, maxD, seed, 1, taskStats, emitTask)
+      CPSJoinSpark.runTasks(spark, reps, stats, emit) { (it, taskStats, emitTask) =>
+        for (r <- it) CPSJoinLocal.runRep(bc.value, lam, params, maxD, r, taskStats, emitTask)
       }
     }
   }
@@ -53,32 +52,6 @@ object CPSJoinSpark {
                        p: CPSParams): Broadcast[IndexedSeq[EmbeddedRec]] = {
     val hasher = new MinHasher(p.t, p.ell, p.seed)
     spark.sparkContext.broadcast(EmbeddedRec.embedAll(recs, hasher).toIndexedSeq)
-  }
-
-  /** Finishes `buckets` of payload records in one `runTasks` job and passes
-    * the pairs their tasks emit to `emit` on the driver. A bucket ships as
-    * the payload indices of its members, found by identity, with its `S` (a
-    * node seed, say), and runs `finish` against the broadcast payload. A
-    * member that is not a payload record is rejected. Shared by CPSJoin and
-    * MinHash LSH.
-    */
-  def finishBuckets[S](spark: SparkSession, payload: Broadcast[IndexedSeq[EmbeddedRec]],
-                       buckets: Seq[(scala.collection.IndexedSeq[EmbeddedRec], S)],
-                       stats: LocalStats, emit: (Long, Long, Double) => Unit)(
-      finish: (scala.collection.IndexedSeq[EmbeddedRec], S, LocalStats, (Long, Long, Double) => Unit) => Unit): Unit = {
-    val recs = payload.value
-    val index = new java.util.IdentityHashMap[EmbeddedRec, Int]
-    for (i <- recs.indices) index.put(recs(i), i)
-    def indexOf(r: EmbeddedRec): Int = {
-      val i = index.getOrDefault(r, -1)
-      require(i >= 0, s"bucket member (id ${r.id}) is not a record of the broadcast payload")
-      i
-    }
-    val shipped = buckets.map { case (members, s) => (members.map(indexOf).toArray, s) }
-    runTasks(spark, shipped, stats, emit) { (it, taskStats, emitTask) =>
-      val all = payload.value
-      for ((members, s) <- it) finish(members.map(all), s, taskStats, emitTask)
-    }
   }
 
   /** Runs `work` in one Spark job over `min(items, defaultParallelism)`

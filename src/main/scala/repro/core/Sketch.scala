@@ -42,6 +42,10 @@ object Sketch {
       d
     }
 
+  /** Rejects a similarity threshold outside (0, 1). */
+  def requireThreshold(lambda: Double): Unit =
+    require(lambda > 0 && lambda < 1, s"λ must lie in (0, 1), got $lambda")
+
   /** Sketch threshold λ̂ < λ such that a true-positive pair (J ≥ λ) fails the
     * sketch check with probability < δ (paper §V-A2, normal approximation to
     * the Binomial over `bits` independent bit agreements).
@@ -50,7 +54,7 @@ object Sketch {
     * is where those joins reject a threshold outside (0, 1).
     */
   def lambdaHat(lambda: Double, bits: Int, delta: Double): Double = {
-    require(lambda > 0 && lambda < 1, s"λ must lie in (0, 1), got $lambda")
+    requireThreshold(lambda)
     val p = (1.0 + lambda) / 2.0
     val sigmaJ = 2.0 * math.sqrt(p * (1.0 - p) / bits) // std-dev of Ĵ
     val z = Hashing.inverseNormalCdf(1.0 - delta)

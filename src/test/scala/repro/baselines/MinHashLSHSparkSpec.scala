@@ -8,11 +8,11 @@ class MinHashLSHSparkSpec extends SparkSpec {
 
   private val p = CPSParams(t = 64, ell = 4, seed = 17)
 
-  // Both engines brute-force the buckets of `MinHashLSHLocal.buckets`, with
-  // members in input order, through the same verifier. So for equal
-  // parameters they must report the same pairs, similarities and Table IV
-  // counters.
-  private def assertEnginesEqual(recs: IndexedSeq[SetRec], lambda: Double, k: Int, reps: Range): Unit = {
+  // Both engines run the same repetitions with `MinHashLSHLocal.runRep`: the
+  // Spark engine runs each whole repetition (its buckets and their brute
+  // force) in a task of one job. So for equal parameters they must report the
+  // same pairs, similarities and Table IV counters.
+  private def assertEnginesEqual(recs: IndexedSeq[SetRec], lambda: Double, k: Int, reps: Seq[Int]): Unit = {
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
       val localStats = new LocalStats
@@ -41,6 +41,36 @@ class MinHashLSHSparkSpec extends SparkSpec {
       try jobsAndShuffleBytes(new MinHashLSHSpark(spark, bc, 0.5, 3, p).run(0 until 5))
       finally bc.destroy()
     assert(jobs == 1 && shuffleBytes == 0, s"jobs=$jobs shuffle bytes=$shuffleBytes")
+  }
+
+  test("distributed equals local on one repetition, on unordered repetitions and on more than the cores") {
+    val recs = Datasets.byName("BMS-POS").gen(scale = 0.2, seed = 93).toIndexedSeq
+    assertEnginesEqual(recs, 0.5, k = 3, Seq(2))
+    assertEnginesEqual(recs, 0.5, k = 3, Seq(9, 2, 5))
+    assertEnginesEqual(recs, 0.5, k = 3, 0 until 2 * spark.sparkContext.defaultParallelism + 1)
+  }
+
+  test("incremental repetitions: running reps in two batches equals one batch") {
+    val recs = Datasets.byName("BMS-POS").gen(scale = 0.2, seed = 94).toIndexedSeq
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      val join = new MinHashLSHSpark(spark, bc, 0.5, 3, p)
+      val oneBatch = join.run(0 until 6)
+      val twoBatches = join.run(0 until 2) ++ join.run(2 until 6)
+      assert(oneBatch.nonEmpty && oneBatch == twoBatches)
+    } finally bc.destroy()
+  }
+
+  test("a run of two repetitions is one job of two tasks, one repetition each") {
+    val recs = TestUtil.randomRecords(300, 12, 60, seed = 113, spread = 4)
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      var tasks = 0
+      val (jobs, _) = jobsAndShuffleBytes {
+        tasks = tasksAndResultBytes(new MinHashLSHSpark(spark, bc, 0.5, 3, p).run(Seq(2, 7)))._1
+      }
+      assert(jobs == 1 && tasks == math.min(2, spark.sparkContext.defaultParallelism), s"jobs=$jobs tasks=$tasks")
+    } finally bc.destroy()
   }
 
   for ((name, lambda) <- Seq(("DBLP", 0.5), ("UNIFORM005", 0.7)))

@@ -9,10 +9,10 @@ class CPSJoinSparkSpec extends SparkSpec {
 
   private val p = CPSParams(t = 64, ell = 4, limit = 40, eps = 0.1, delta = 0.05, reps = 6, seed = 99)
 
-  // Both engines run the same `CPSJoinLocal.node` on the same buckets with
-  // the same node seeds: the Spark engine runs the root on the driver and
-  // every first-level subtree in one job. So for equal parameters they must
-  // report the same pairs, similarities and Table IV counters.
+  // Both engines run the same trees with `CPSJoinLocal.runRep`: the Spark
+  // engine runs each whole repetition in a task of one job. So for equal
+  // parameters they must report the same pairs, similarities and Table IV
+  // counters.
   private def assertEnginesEqual(recs: IndexedSeq[SetRec], lambda: Double, q: CPSParams = p): Unit = {
     val localStats = new LocalStats
     val local = CPSJoinLocal.selfJoinRaw(recs, lambda, q, localStats)
@@ -46,6 +46,41 @@ class CPSJoinSparkSpec extends SparkSpec {
       assertEnginesEqual(TestUtil.randomRecords(300, 12, 60, seed = 97, spread = 4), 0.5,
         p.copy(maxDepth = depth))
     }
+
+  /** `run(reps)` on a broadcast payload equals `CPSJoinLocal.run` of the
+    * same repetitions, in pairs, similarities and counters.
+    */
+  private def assertRunsEqual(recs: IndexedSeq[SetRec], lambda: Double, reps: Seq[Int]): Unit = {
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      val localStats = new LocalStats
+      val local = CPSJoinLocal.run(bc.value, lambda, p, reps, localStats)
+      val sparkStats = new LocalStats
+      val dist = new CPSJoinSpark(spark, bc, lambda, p, sparkStats).run(reps)
+      assert(local.nonEmpty && dist == local, s"reps=$reps")
+      assert((sparkStats.pre, sparkStats.cand, sparkStats.res) == ((localStats.pre, localStats.cand, localStats.res)),
+        s"reps=$reps")
+    } finally bc.destroy()
+  }
+
+  test("distributed equals local on one repetition, on unordered repetitions and on more than the cores") {
+    val recs = Datasets.byName("BMS-POS").gen(scale = 0.2, seed = 93).toIndexedSeq
+    assertRunsEqual(recs, 0.5, Seq(2))
+    assertRunsEqual(recs, 0.5, Seq(9, 2, 5))
+    assertRunsEqual(recs, 0.5, 0 until 2 * spark.sparkContext.defaultParallelism + 1)
+  }
+
+  test("a run of two repetitions is one job of two tasks, one repetition each") {
+    val recs = TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4)
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      var tasks = 0
+      val (jobs, _) = jobsAndShuffleBytes {
+        tasks = tasksAndResultBytes(new CPSJoinSpark(spark, bc, 0.5, p).run(Seq(2, 7)))._1
+      }
+      assert(jobs == 1 && tasks == math.min(2, spark.sparkContext.defaultParallelism), s"jobs=$jobs tasks=$tasks")
+    } finally bc.destroy()
+  }
 
   test("one run call starts exactly one Spark job") {
     val recs = TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4)
@@ -152,25 +187,6 @@ class CPSJoinSparkSpec extends SparkSpec {
     val twice = Seq((7L, 9L, 0.75))
     assertShellDelivers(Seq(twice, twice))
     assertShellDelivers(Seq(twice ++ twice, twice, somePairs(0, 40) ++ twice))
-  }
-
-  test("finishBuckets ships payload records and rejects a member that is not one") {
-    val recs = TestUtil.randomRecords(20, 8, 30, seed = 90)
-    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-    try {
-      val payload = bc.value
-      def finishIds(bucket: IndexedSeq[EmbeddedRec]): Seq[Long] = {
-        val ids = mutable.ArrayBuffer.empty[Long]
-        CPSJoinSpark.finishBuckets(spark, bc, Seq((bucket, ())), new LocalStats, (a, _, _) => { ids += a; () }) {
-          (members, _, _, emit) => members.foreach(r => emit(r.id, r.id, 1.0))
-        }
-        ids.toSeq
-      }
-      assert(finishIds(IndexedSeq(payload(5), payload(0), payload(9))) == Seq(payload(5).id, payload(0).id, payload(9).id))
-      // An equal copy is not the payload record: it has no payload index.
-      val e = intercept[IllegalArgumentException](finishIds(IndexedSeq(payload(5), payload(5).copy())))
-      assert(e.getMessage.contains(s"id ${payload(5).id}"), e.getMessage)
-    } finally bc.destroy()
   }
 
   test("each Spark engine's tasks return at most 24 bytes a pair plus a fixed amount a task") {

@@ -134,7 +134,7 @@ object Harness {
     runs.head.copy(cp = median(_.cp), mh = median(_.mh))
   }
 
-  private def median3(secs: => Double): Double = Seq.fill(3)(secs).sorted.apply(1)
+  private[bench] def median3(secs: => Double): Double = Seq.fill(3)(secs).sorted.apply(1)
 
   /** The approximate half of the protocol, whatever the engine: `cp` runs
     * CPSJoin repetitions counting into `cpStats`; `mh(k)` runs MinHash LSH
@@ -153,7 +153,7 @@ object Harness {
     Measurement(name, lambda, cpRun.copy(pre = cpStats.pre, cand = cpStats.cand), mhRun, all)
   }
 
-  /** Environment knobs shared by bench suites and jobs. */
+  /** Environment knobs shared by the bench suite and the job. */
   def scale: Double = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0)
   def datasetFilter: Option[Set[String]] =
     sys.env.get("REPRO_DATASETS").map(_.split(",").map(_.trim.toUpperCase).toSet)

@@ -1,6 +1,8 @@
 package repro.bench
 
 import repro.{SparkSpec, TestUtil}
+import repro.baselines.AllPairsSpark
+import repro.core.{CPSJoinSpark, CPSParams, LocalStats}
 import repro.data.Datasets
 
 class HarnessSpec extends SparkSpec {
@@ -43,6 +45,30 @@ class HarnessSpec extends SparkSpec {
     assert(m.cp.seconds > 0 && m.mh.seconds > 0 && m.all.seconds > 0)
     // Exact baseline finds everything the approximate methods can find.
     assert(m.cp.results <= m.all.results || m.all.results == 0)
+  }
+
+  test("a Spark cell holds its exact join's and its CP repetitions' counters, and Table IV prints them at λ 0.5 and 0.7") {
+    val recs = Datasets.byName("DBLP").gen(scale = 0.12, seed = 121).toIndexedSeq
+    val p = CPSParams()
+    val cells = for (lambda <- Seq(0.5, 0.6, 0.7)) yield {
+      val m = Harness.measure(spark, "DBLP", recs, lambda)
+      val (pairs, pre, cand) = AllPairsSpark.selfJoinCollect(spark, recs, lambda)
+      assert((m.all.pre, m.all.cand, m.all.results) == ((pre, cand, pairs.size)))
+      // One call over all the repetitions the protocol ran counts what one
+      // of its measured runs counted, and finds the same distinct pairs.
+      val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+      try {
+        val stats = new LocalStats
+        val found = new CPSJoinSpark(spark, bc, lambda, p, stats).run(0 until m.cp.reps)
+        assert(m.cp.pre > 0)
+        assert((m.cp.pre, m.cp.cand, m.cp.results) == ((stats.pre, stats.cand, found.size)))
+      } finally bc.destroy()
+      m
+    }
+    val rows = Tables.candidateCounts(cells).linesIterator.drop(2).map(_.trim.split("\\s+").toSeq).toSeq
+    val expected = cells.filter(_.lambda != 0.6).map(m => Seq(m.dataset, f"${m.lambda}%.1f") ++
+      Seq(m.all.pre, m.cp.pre, m.all.cand, m.cp.cand, m.all.results.toLong, m.cp.results.toLong).map(_.toString))
+    assert(rows == expected)
   }
 
   test("measureLocal runs the single-threaded protocol end to end") {

@@ -59,7 +59,7 @@ object AllPairsLocal {
     * prefix is empty, so no probe could pair two of them, at similarity 1).
     */
   def prepare(recs: scala.collection.IndexedSeq[SetRec], lambda: Double): Prepared = {
-    require(lambda > 0 && lambda < 1)
+    Sketch.requireThreshold(lambda)
     SetRec.requireDistinctIds(recs)
     for (r <- recs) require(r.tokens.nonEmpty, s"record ${r.id} is an empty set")
     val ranks = tokenRanks(recs)

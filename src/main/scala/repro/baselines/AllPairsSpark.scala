@@ -37,15 +37,11 @@ object AllPairsSpark {
     val slices = math.min(prepared.length, spark.sparkContext.defaultParallelism)
     val bc = spark.sparkContext.broadcast(prepared)
     val stats = new LocalStats
-    val out = Map.newBuilder[(Long, Long), Double]
-    try {
-      CPSJoinSpark.runTasks(spark, 0 until slices, stats, (a, b, s) => { out += (((a, b), s)); () }) {
-        (it, taskStats, emitTask) =>
-          val prep = bc.value
-          val prober = new AllPairsLocal.Prober(prep)
-          for (slice <- it; xi <- slice until prep.length by slices) prober.probe(xi, taskStats, emitTask)
-      }
-    } finally bc.destroy()
-    (out.result(), stats.pre, stats.cand)
+    val pairs =
+      try CPSJoinSpark.runTasks(spark, bc, 0 until slices, stats) { (prep, slice, taskStats, emit) =>
+        val prober = new AllPairsLocal.Prober(prep)
+        for (xi <- slice until prep.length by slices) prober.probe(xi, taskStats, emit)
+      } finally bc.destroy()
+    (pairs, stats.pre, stats.cand)
   }
 }

@@ -15,33 +15,18 @@ import repro.core._
   * report the same pairs and Table IV counters. The key length k is chosen
   * on the driver with the cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
   */
-final class MinHashLSHSpark(
-    spark: SparkSession,
-    payload: Broadcast[IndexedSeq[EmbeddedRec]],
-    lambda: Double,
-    k: Int,
-    p: CPSParams,
-    stats: LocalStats = new LocalStats,
-) {
+object MinHashLSHSpark {
 
-  /** Run the given repetitions; returns deduplicated verified pairs. */
-  def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
-    // Locals, so the task closure does not capture `this` (and its `stats`).
-    val bc = payload
-    val lam = lambda
-    val keyLength = k
-    val params = p
+  /** Repetitions `reps` at key length k; returns deduplicated verified pairs. */
+  def run(spark: SparkSession, payload: Broadcast[IndexedSeq[EmbeddedRec]], lambda: Double, k: Int,
+          reps: Seq[Int], p: CPSParams, stats: LocalStats): Map[(Long, Long), Double] = {
     // On the driver: a task's own check would reach the caller as a SparkException.
-    Sketch.requireThreshold(lam)
-    Verification.dedup { emit =>
-      CPSJoinSpark.runTasks(spark, reps, stats, emit) { (it, taskStats, emitTask) =>
-        for (r <- it) MinHashLSHLocal.runRep(bc.value, lam, keyLength, r, params, taskStats, emitTask)
-      }
+    Sketch.requireThreshold(lambda)
+    CPSJoinSpark.runTasks(spark, payload, reps, stats) { (recs, r, taskStats, emit) =>
+      MinHashLSHLocal.runRep(recs, lambda, k, r, p, taskStats, emit)
     }
   }
-}
 
-object MinHashLSHSpark {
   /** One-shot self-join at recall target φ with worst-case repetition count. */
   def selfJoin(spark: SparkSession, recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
                phi: Double = 0.9, p: CPSParams = CPSParams(),
@@ -49,8 +34,7 @@ object MinHashLSHSpark {
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
       val k = MinHashLSHLocal.chooseK(bc.value, lambda, phi, p.seed)
-      val reps = MinHashLSHLocal.repetitionsFor(phi, lambda, k)
-      new MinHashLSHSpark(spark, bc, lambda, k, p, stats).run(0 until reps)
+      run(spark, bc, lambda, k, 0 until MinHashLSHLocal.repetitionsFor(phi, lambda, k), p, stats)
     } finally bc.destroy()
   }
 }

@@ -11,7 +11,7 @@ import scala.collection.mutable
   *  - ground truth (and the exact baseline's join time) comes from the
   *    distributed ALLPAIRS join;
   *  - approximate methods run repetition batches until measured recall
-  *    against the ground truth reaches the target (default 90 %), exactly as
+  *    against the ground truth reaches the target (90 %), exactly as
   *    in the paper; preprocessing (MinHash embedding + sketches, broadcast)
   *    is excluded from join times, as are the driver-side recall
   *    computations between batches;
@@ -27,6 +27,12 @@ object Harness {
     */
   final case class Measurement(dataset: String, lambda: Double,
                                cp: AlgoRun, mh: AlgoRun, all: AlgoRun, embedSeconds: Double = Double.NaN)
+
+  // The protocol's one setting (§VI): default parameters, 90 % recall, and
+  // at most 20 CP repetitions.
+  private val p = CPSParams()
+  private val recallTarget = 0.9
+  private val maxReps = 20
 
   private def time[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()
@@ -82,9 +88,7 @@ object Harness {
     * as a warm-up and then three times, as in `measureLocal`; a figure is the
     * median of the three.
     */
-  def measure(spark: SparkSession, name: String, recs: IndexedSeq[SetRec], lambda: Double,
-              p: CPSParams = CPSParams(), recallTarget: Double = 0.9,
-              maxReps: Int = 20): Measurement = {
+  def measure(spark: SparkSession, name: String, recs: IndexedSeq[SetRec], lambda: Double): Measurement = {
     val (truth, all) = runAllPairs(spark, recs, lambda) // untimed: also the exact join's warm-up
     val allSecs = median3(runAllPairs(spark, recs, lambda)._2.seconds)
     // Preprocessing (embedding + broadcast) is shared and untimed.
@@ -92,8 +96,8 @@ object Harness {
     try warmMedian {
       val cpStats = new LocalStats
       val cp = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
-      protocol(name, lambda, truth, all.copy(seconds = allSecs), bc.value, p, recallTarget, maxReps, cpStats)(
-        cp.run, k => new MinHashLSHSpark(spark, bc, lambda, k, p).run)
+      protocol(name, lambda, truth, all.copy(seconds = allSecs), bc.value, cpStats)(
+        cp.run, k => reps => MinHashLSHSpark.run(spark, bc, lambda, k, reps, p, new LocalStats))
     } finally bc.destroy()
   }
 
@@ -108,9 +112,7 @@ object Harness {
     * (the whole repeat-to-recall protocol for CP and MH). `embedSeconds`
     * reports the embedding, so a cell shows what the protocol leaves out.
     */
-  def measureLocal(name: String, recs: IndexedSeq[SetRec], lambda: Double,
-                   p: CPSParams = CPSParams(), recallTarget: Double = 0.9,
-                   maxReps: Int = 20): Measurement = {
+  def measureLocal(name: String, recs: IndexedSeq[SetRec], lambda: Double): Measurement = {
     val truth = AllPairsLocal.selfJoin(recs, lambda) // untimed: also the exact join's warm-up
     val allSecs = median3(time(AllPairsLocal.selfJoin(recs, lambda))._2)
     val hasher = new MinHasher(p.t, p.ell, p.seed)
@@ -118,7 +120,7 @@ object Harness {
     val embedSecs = median3(time(EmbeddedRec.embedAll(recs, hasher))._2)
     warmMedian {
       val cpStats = new LocalStats
-      protocol(name, lambda, truth, AlgoRun(allSecs, 1.0, 1, truth.size), embedded, p, recallTarget, maxReps, cpStats)(
+      protocol(name, lambda, truth, AlgoRun(allSecs, 1.0, 1, truth.size), embedded, cpStats)(
         reps => CPSJoinLocal.run(embedded, lambda, p, reps, cpStats),
         k => reps => MinHashLSHLocal.run(embedded, lambda, k, reps, p, new LocalStats))
     }.copy(embedSeconds = embedSecs)
@@ -141,8 +143,7 @@ object Harness {
     * repetitions at key length k, chosen here.
     */
   private def protocol(name: String, lambda: Double, truth: Map[(Long, Long), Double], all: AlgoRun,
-                       embedded: IndexedSeq[EmbeddedRec], p: CPSParams, recallTarget: Double, maxReps: Int,
-                       cpStats: LocalStats)(
+                       embedded: IndexedSeq[EmbeddedRec], cpStats: LocalStats)(
       cp: Seq[Int] => Map[(Long, Long), Double],
       mh: Int => Seq[Int] => Map[(Long, Long), Double]): Measurement = {
     val cpRun = repeatToRecall(truth.keySet, recallTarget, repBatches(maxReps), cp)

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
-import scala.reflect.ClassTag
 
 /** Distributed CPSJoin: a distribution shell around `CPSJoinLocal.runRep`.
   *
@@ -30,14 +29,11 @@ final class CPSJoinSpark(
     */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
     // Locals, so the task closure does not capture `this` (and its `stats`).
-    val bc = payload
     val lam = lambda
     val params = p
     val maxD = Verification.maxDistance(lam, params)
-    Verification.dedup { emit =>
-      CPSJoinSpark.runTasks(spark, reps, stats, emit) { (it, taskStats, emitTask) =>
-        for (r <- it) CPSJoinLocal.runRep(bc.value, lam, params, maxD, r, taskStats, emitTask)
-      }
+    CPSJoinSpark.runTasks(spark, payload, reps, stats) { (recs, r, taskStats, emit) =>
+      CPSJoinLocal.runRep(recs, lam, params, maxD, r, taskStats, emit)
     }
   }
 }
@@ -54,19 +50,19 @@ object CPSJoinSpark {
     spark.sparkContext.broadcast(EmbeddedRec.embedAll(recs, hasher).toIndexedSeq)
   }
 
-  /** Runs `work` in one Spark job over `min(items, defaultParallelism)`
-    * slices of `items`, one call per slice, and passes the pairs its tasks
-    * emit to `emit` on the driver. Each task appends its pairs to three
-    * primitive columns (the ids as emitted, the similarity) and returns them
-    * with its three `LocalStats` counts: 24 bytes a pair and no object per
-    * pair to serialize and read back. The driver replays the columns into
-    * `emit` and adds the counts to `stats`, so a re-run task is counted once,
-    * like its pairs. One call is one job and no shuffle: the task shell of
-    * all three Spark engines.
+  /** The Spark half of every engine: runs `work(payload.value, item,
+    * taskStats, emit)` for each of `items` in one Spark job over
+    * `min(items, defaultParallelism)` contiguous slices of them, and returns
+    * the distinct emitted pairs, keyed (smaller id, larger id). Each task
+    * appends its pairs to three primitive columns (the ids as emitted, the
+    * similarity) and returns them with its three `LocalStats` counts: 24
+    * bytes a pair and no object per pair to serialize and read back. The
+    * driver deduplicates the columns (`Verification.dedup`) and adds the
+    * counts to `stats`, so a re-run task is counted once, like its pairs.
+    * One call is one job and no shuffle.
     */
-  def runTasks[T: ClassTag](spark: SparkSession, items: Seq[T], stats: LocalStats,
-                            emit: (Long, Long, Double) => Unit)(
-      work: (Iterator[T], LocalStats, (Long, Long, Double) => Unit) => Unit): Unit = {
+  def runTasks[P](spark: SparkSession, payload: Broadcast[P], items: Seq[Int], stats: LocalStats)(
+      work: (P, Int, LocalStats, (Long, Long, Double) => Unit) => Unit): Map[(Long, Long), Double] = {
     val sc = spark.sparkContext
     val slices = math.max(1, math.min(items.length, sc.defaultParallelism))
     val parts = sc.parallelize(items, slices).mapPartitions { it =>
@@ -74,13 +70,16 @@ object CPSJoinSpark {
       val as = new mutable.ArrayBuilder.ofLong
       val bs = new mutable.ArrayBuilder.ofLong
       val sims = new mutable.ArrayBuilder.ofDouble
-      work(it, taskStats, (a, b, s) => { as.addOne(a); bs.addOne(b); sims.addOne(s); () })
+      val emit = (a: Long, b: Long, s: Double) => { as.addOne(a); bs.addOne(b); sims.addOne(s); () }
+      for (item <- it) work(payload.value, item, taskStats, emit)
       Iterator.single((as.result(), bs.result(), sims.result(), Array(taskStats.pre, taskStats.cand, taskStats.res)))
     }.collect()
-    for ((as, bs, sims, counts) <- parts) {
-      stats.pre += counts(0); stats.cand += counts(1); stats.res += counts(2)
-      var i = 0
-      while (i < as.length) { emit(as(i), bs(i), sims(i)); i += 1 }
+    Verification.dedup { emit =>
+      for ((as, bs, sims, counts) <- parts) {
+        stats.pre += counts(0); stats.cand += counts(1); stats.res += counts(2)
+        var i = 0
+        while (i < as.length) { emit(as(i), bs(i), sims(i)); i += 1 }
+      }
     }
   }
 

@@ -42,7 +42,9 @@ object Sketch {
       d
     }
 
-  /** Rejects a similarity threshold outside (0, 1). */
+  /** Rejects a similarity threshold outside (0, 1): the one λ check of every
+    * join, exact (`AllPairsLocal.prepare`) and approximate (`lambdaHat`).
+    */
   def requireThreshold(lambda: Double): Unit =
     require(lambda > 0 && lambda < 1, s"λ must lie in (0, 1), got $lambda")
 
@@ -51,7 +53,8 @@ object Sketch {
     * the Binomial over `bits` independent bit agreements).
     *
     * Every CPSJoin and MinHash LSH entry point reaches this function, so it
-    * is where those joins reject a threshold outside (0, 1).
+    * is where those joins reject a threshold outside (0, 1)
+    * (`requireThreshold`).
     */
   def lambdaHat(lambda: Double, bits: Int, delta: Double): Double = {
     requireThreshold(lambda)

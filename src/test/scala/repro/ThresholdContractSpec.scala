@@ -36,7 +36,9 @@ class ThresholdContractSpec extends SparkSpec {
       "AllPairsLocal" -> (() => AllPairsLocal.selfJoin(twins, lambda)),
       "AllPairsSpark" -> (() => AllPairsSpark.selfJoinCollect(spark, twins, lambda)._1))
     for (lambda <- Seq(0.0, 1.0, 1.5, -0.5, Double.NaN); (name, join) <- exactJoins(lambda))
-      withClue(s"$name at λ=$lambda: ") { intercept[IllegalArgumentException](join()) }
+      withClue(s"$name at λ=$lambda: ") {
+        assert(intercept[IllegalArgumentException](join()).getMessage.contains("λ must lie in (0, 1)"))
+      }
     for ((name, join) <- exactJoins(0.9))
       assert(join() == Map((0L, 1L) -> 1.0), name)
   }

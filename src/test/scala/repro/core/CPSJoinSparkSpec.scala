@@ -1,13 +1,21 @@
 package repro.core
 
-import repro.{SparkSpec, TestUtil}
+import org.apache.spark.broadcast.Broadcast
+import repro.{RepetitionShellSpec, TestUtil}
 import repro.baselines.{AllPairsSpark, MinHashLSHSpark}
 import repro.data.Datasets
-import scala.collection.mutable
 
-class CPSJoinSparkSpec extends SparkSpec {
+class CPSJoinSparkSpec extends RepetitionShellSpec {
 
-  private val p = CPSParams(t = 64, ell = 4, limit = 40, eps = 0.1, delta = 0.05, reps = 6, seed = 99)
+  protected val p = CPSParams(t = 64, ell = 4, limit = 40, eps = 0.1, delta = 0.05, reps = 6, seed = 99)
+
+  protected def sparkRun(bc: Broadcast[IndexedSeq[EmbeddedRec]], q: CPSParams, reps: Seq[Int],
+                         stats: LocalStats): Map[(Long, Long), Double] =
+    new CPSJoinSpark(spark, bc, 0.5, q, stats).run(reps)
+
+  protected def localRun(recs: IndexedSeq[EmbeddedRec], q: CPSParams, reps: Seq[Int],
+                         stats: LocalStats): Map[(Long, Long), Double] =
+    CPSJoinLocal.run(recs, 0.5, q, reps, stats)
 
   // Both engines run the same trees with `CPSJoinLocal.runRep`: the Spark
   // engine runs each whole repetition in a task of one job. So for equal
@@ -47,50 +55,16 @@ class CPSJoinSparkSpec extends SparkSpec {
         p.copy(maxDepth = depth))
     }
 
-  /** `run(reps)` on a broadcast payload equals `CPSJoinLocal.run` of the
-    * same repetitions, in pairs, similarities and counters.
-    */
-  private def assertRunsEqual(recs: IndexedSeq[SetRec], lambda: Double, reps: Seq[Int]): Unit = {
-    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-    try {
-      val localStats = new LocalStats
-      val local = CPSJoinLocal.run(bc.value, lambda, p, reps, localStats)
-      val sparkStats = new LocalStats
-      val dist = new CPSJoinSpark(spark, bc, lambda, p, sparkStats).run(reps)
-      assert(local.nonEmpty && dist == local, s"reps=$reps")
-      assert((sparkStats.pre, sparkStats.cand, sparkStats.res) == ((localStats.pre, localStats.cand, localStats.res)),
-        s"reps=$reps")
-    } finally bc.destroy()
-  }
-
   test("distributed equals local on one repetition, on unordered repetitions and on more than the cores") {
-    val recs = Datasets.byName("BMS-POS").gen(scale = 0.2, seed = 93).toIndexedSeq
-    assertRunsEqual(recs, 0.5, Seq(2))
-    assertRunsEqual(recs, 0.5, Seq(9, 2, 5))
-    assertRunsEqual(recs, 0.5, 0 until 2 * spark.sparkContext.defaultParallelism + 1)
+    assertRunsEqualOnRepetitionSets()
   }
 
   test("a run of two repetitions is one job of two tasks, one repetition each") {
-    val recs = TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4)
-    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-    try {
-      var tasks = 0
-      val (jobs, _) = jobsAndShuffleBytes {
-        tasks = tasksAndResultBytes(new CPSJoinSpark(spark, bc, 0.5, p).run(Seq(2, 7)))._1
-      }
-      assert(jobs == 1 && tasks == math.min(2, spark.sparkContext.defaultParallelism), s"jobs=$jobs tasks=$tasks")
-    } finally bc.destroy()
+    assertTwoRepetitionsTwoTasks(TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4))
   }
 
   test("one run call starts exactly one Spark job") {
-    val recs = TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4)
-    for (q <- Seq(p, p.copy(maxDepth = 0))) {
-      val bc = CPSJoinSpark.broadcastPayload(spark, recs, q)
-      val (jobs, shuffleBytes) =
-        try jobsAndShuffleBytes(new CPSJoinSpark(spark, bc, 0.5, q).run(0 until q.reps))
-        finally bc.destroy()
-      assert(jobs == 1 && shuffleBytes == 0, s"maxDepth=${q.maxDepth}")
-    }
+    assertOneJob(TestUtil.randomRecords(300, 15, 90, seed = 98, spread = 4), Seq(p, p.copy(maxDepth = 0)), 0 until p.reps)
   }
 
   test("recall >= 0.8 and precision = 1 against ground truth (10 reps)") {
@@ -121,14 +95,7 @@ class CPSJoinSparkSpec extends SparkSpec {
   }
 
   test("incremental repetitions: running reps in two batches equals one batch") {
-    val recs = TestUtil.randomRecords(300, 15, 90, seed = 95, spread = 4)
-    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-    try {
-      val join = new CPSJoinSpark(spark, bc, 0.5, p)
-      val oneBatch = join.run(0 until 4)
-      val twoBatches = join.run(0 until 2) ++ join.run(2 until 4)
-      assert(oneBatch == twoBatches)
-    } finally bc.destroy()
+    assertBatchesEqual(TestUtil.randomRecords(300, 15, 90, seed = 95, spread = 4), 4)
   }
 
   test("empty and single-record inputs yield no pairs") {
@@ -145,23 +112,22 @@ class CPSJoinSparkSpec extends SparkSpec {
     assert(strong.subsetOf(res.keySet))
   }
 
-  /** Runs `runTasks` over `items`, each item the pairs to emit, with a task
-    * that counts per item 1 pre-candidate, a candidate per pair and two
-    * results per pair; the driver must receive exactly the emitted multiset
-    * and the summed counts.
+  /** Runs `runTasks` over the indices of `items`, each item the pairs (id1 <
+    * id2) to emit, broadcast as the payload, with a task that counts per
+    * item 1 pre-candidate, a candidate per pair and two results per pair;
+    * it must return exactly the distinct emitted pairs and sum the counts.
     */
   private def assertShellDelivers(items: Seq[Seq[(Long, Long, Double)]]): Unit = {
     val stats = new LocalStats
-    val got = mutable.ArrayBuffer.empty[(Long, Long, Double)]
-    CPSJoinSpark.runTasks(spark, items, stats, (a, b, s) => { got += ((a, b, s)); () }) { (it, taskStats, emit) =>
-      for (pairs <- it) {
+    val bc = spark.sparkContext.broadcast(items)
+    val got =
+      try CPSJoinSpark.runTasks(spark, bc, items.indices, stats) { (payload, i, taskStats, emit) =>
+        val pairs = payload(i)
         taskStats.pre += 1; taskStats.cand += pairs.length; taskStats.res += 2L * pairs.length
         for ((a, b, s) <- pairs) emit(a, b, s)
-      }
-    }
+      } finally bc.destroy()
     val sent = items.flatten
-    def multiset(ps: Seq[(Long, Long, Double)]) = ps.groupMapReduce(identity)(_ => 1)(_ + _)
-    assert(multiset(got.toSeq) == multiset(sent))
+    assert(got == sent.map { case (a, b, s) => (a, b) -> s }.toMap)
     assert((stats.pre, stats.cand, stats.res) == ((items.length.toLong, sent.length.toLong, 2L * sent.length)))
   }
 
@@ -182,7 +148,7 @@ class CPSJoinSparkSpec extends SparkSpec {
     assertShellDelivers(Seq(somePairs(0, 5000), somePairs(1L << 40, 17), somePairs(-50000, 16)))
   }
 
-  test("runTasks: the same pair emitted by two tasks arrives twice") {
+  test("runTasks: a pair two tasks emit appears once; both counts are summed") {
     // Two items make two slices (on at least two cores), one task each.
     val twice = Seq((7L, 9L, 0.75))
     assertShellDelivers(Seq(twice, twice))
